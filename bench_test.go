@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation (§7–§8): one benchmark
-// per table and figure, plus ablations of the design choices DESIGN.md
-// §6 calls out. Run them all with
+// per table and figure, plus ablations of the model's reductions (the
+// canonical flow table, batched packet processing, symbolic execution). Run them all with
 //
 //	go test -bench=. -benchmem
 //
@@ -172,7 +172,7 @@ func BenchmarkParallelSwarm(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) ---
+// --- Ablations ---
 
 // BenchmarkAblationCanonicalTable isolates the canonical-representation
 // win at a fixed workload size.
@@ -344,32 +344,6 @@ func BenchmarkHash(b *testing.B) {
 			b.ReportMetric(float64(time.Second)/float64(b.Elapsed())*float64(b.N), "states-hashed/sec")
 		})
 	}
-}
-
-// BenchmarkStateKey contrasts the cached canonical rendering with the
-// old from-scratch render on a warm mid-search state.
-func BenchmarkStateKey(b *testing.B) {
-	sim := core.NewSimulator(scenarios.PyswitchBench(3))
-	for i := 0; i < 10; i++ {
-		enabled := sim.Enabled()
-		if len(enabled) == 0 {
-			break
-		}
-		sim.Step(i % len(enabled))
-	}
-	sys := sim.System()
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = sys.StateKey()
-		}
-	})
-	b.Run("reflective-oracle", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = sys.OracleKey()
-		}
-	})
 }
 
 // BenchmarkClone measures the per-transition state fork.

@@ -9,8 +9,7 @@
 //	nice-experiments -all -workers 8       searches run on the parallel engine
 //
 // Absolute numbers differ from the paper's (Go vs Python, simplified
-// substrate); the shapes under comparison are the reproduction targets —
-// see EXPERIMENTS.md.
+// substrate); the shapes under comparison are the reproduction targets.
 package main
 
 import (
@@ -119,7 +118,7 @@ func runFigure6(maxPings int) {
 
 func runBaseline(maxPings int) {
 	fmt.Println("§7 comparison: NICE-MC vs a fine-grained off-the-shelf-style checker")
-	fmt.Println("(micro-step packet processing, raw switch state — DESIGN.md §2(3))")
+	fmt.Println("(micro-step packet processing, raw switch state — the paper's SPIN/JPF stand-in)")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Pings\tNICE-MC trans.\tNICE-MC CPU\tBaseline trans.\tBaseline CPU\tSpeed-up")
 	for pings := 1; pings <= maxPings; pings++ {

@@ -313,17 +313,16 @@ type Runtime struct {
 
 	// Incremental-fingerprinting caches: the rendered application key
 	// (with its hashes and, for Versioned apps, the version it was
-	// rendered at) and the two channel renderings. Each is valid until
-	// the corresponding state mutates; Clone copies all three.
+	// rendered at) and the structured hashes of the two channels. Each
+	// is valid until the corresponding state mutates; Clone copies all
+	// three.
 	appKey       string
 	appKeyHash   uint64
 	appKeyDigest canon.Digest
 	appKeyValid  bool
 	appVersion   uint64
-	inKey        string
 	inKeyHash    uint64
 	inKeyValid   bool
-	outKey       string
 	outKeyHash   uint64
 	outKeyValid  bool
 
@@ -415,10 +414,8 @@ func (r *Runtime) Clone() *Runtime {
 		appKeyDigest: r.appKeyDigest,
 		appKeyValid:  r.appKeyValid,
 		appVersion:   r.appVersion,
-		inKey:        r.inKey,
 		inKeyHash:    r.inKeyHash,
 		inKeyValid:   r.inKeyValid,
-		outKey:       r.outKey,
 		outKeyHash:   r.outKeyHash,
 		outKeyValid:  r.outKeyValid,
 	}
@@ -443,7 +440,7 @@ func cloneMsgs(q []openflow.Msg) []openflow.Msg {
 func (r *Runtime) DeliverToController(m openflow.Msg) {
 	r.ownInQ()
 	r.inKeyValid = false
-	r.inQ[m.Switch] = append(r.inQ[m.Switch], m.MemoKey())
+	r.inQ[m.Switch] = append(r.inQ[m.Switch], m)
 }
 
 // InLen reports the inbound (switch→controller) queue length for a
@@ -529,7 +526,7 @@ func (r *Runtime) Emit(msgs []openflow.Msg) {
 	for _, m := range msgs {
 		r.seq++
 		m.Seq = r.seq
-		r.outQ[m.Switch] = append(r.outQ[m.Switch], m.MemoKey())
+		r.outQ[m.Switch] = append(r.outQ[m.Switch], m)
 	}
 }
 
@@ -600,32 +597,19 @@ func (r *Runtime) DispatchEnv(event string) []openflow.Msg {
 	return ctx.Messages()
 }
 
-// StateKey renders the controller component canonically: the app's own
-// canonical state plus both channel contents. seq/xid counters are
-// excluded (scheduler metadata; see DESIGN.md). All three parts come
-// from the incremental caches; RenderStateKey bypasses them.
-func (r *Runtime) StateKey() string {
-	var b strings.Builder
-	b.WriteString("app{")
-	b.WriteString(r.AppKey())
-	b.WriteString("} in{")
-	b.WriteString(r.InKey())
-	b.WriteString("} out{")
-	b.WriteString(r.OutKey())
-	b.WriteString("}")
-	return b.String()
-}
-
-// RenderStateKey rebuilds the controller key from scratch, ignoring all
-// caches (the differential-oracle path).
+// RenderStateKey renders the controller component canonically from
+// scratch, ignoring all caches: the app's own canonical state plus both
+// channel contents. The seq/xid counters are excluded (scheduler
+// metadata). It is the reference the cached hashes are checked
+// against, and the rendering the oracle fingerprint hashes.
 func (r *Runtime) RenderStateKey() string {
 	var b strings.Builder
 	b.WriteString("app{")
 	b.WriteString(r.App.StateKey())
 	b.WriteString("} in{")
-	writeQueues(&b, r.inQ)
+	renderQueues(&b, r.inQ)
 	b.WriteString("} out{")
-	writeQueues(&b, r.outQ)
+	renderQueues(&b, r.outQ)
 	b.WriteString("}")
 	return b.String()
 }
@@ -668,72 +652,55 @@ func (r *Runtime) AppKeyDigest() canon.Digest {
 	return r.appKeyDigest
 }
 
-// InKey renders the switch→controller channel contents (cached).
-func (r *Runtime) InKey() string {
+// InKeyHash64 is the structured hash of the switch→controller channel
+// contents RenderStateKey renders, cached until the channel mutates —
+// the channel component System.Fingerprint combines.
+func (r *Runtime) InKeyHash64() uint64 {
 	if !r.inKeyValid {
-		var b strings.Builder
-		writeQueues(&b, r.inQ)
-		r.inKey = b.String()
-		r.inKeyHash = canon.Hash64String(r.inKey)
+		r.inKeyHash = hashQueues(r.inQ)
 		r.inKeyValid = true
 	}
-	return r.inKey
-}
-
-// InKeyHash64 returns the cached 64-bit hash of InKey — the channel
-// component System.Fingerprint combines without re-hashing the string.
-func (r *Runtime) InKeyHash64() uint64 {
-	r.InKey()
 	return r.inKeyHash
-}
-
-// OutKey renders the controller→switch channel contents (cached).
-func (r *Runtime) OutKey() string {
-	if !r.outKeyValid {
-		var b strings.Builder
-		writeQueues(&b, r.outQ)
-		r.outKey = b.String()
-		r.outKeyHash = canon.Hash64String(r.outKey)
-		r.outKeyValid = true
-	}
-	return r.outKey
 }
 
 // OutKeyHash64 is InKeyHash64 for the controller→switch channels.
 func (r *Runtime) OutKeyHash64() uint64 {
-	r.OutKey()
+	if !r.outKeyValid {
+		r.outKeyHash = hashQueues(r.outQ)
+		r.outKeyValid = true
+	}
 	return r.outKeyHash
 }
 
-func writeQueues(b *strings.Builder, m map[openflow.SwitchID][]openflow.Msg) {
-	// Sort into a stack-allocated key buffer: channel renderings run on
-	// every queue mutation, so the sortedKeys allocation would be a
-	// top-ten site of a whole search.
-	var kbuf [16]openflow.SwitchID
-	keys := kbuf[:0]
+// FreshKeyHashes recomputes the application key's hash and both
+// channel hashes, ignoring the caches; core.System.VerifyCaches
+// compares them with AppKeyHash64, InKeyHash64 and OutKeyHash64.
+func (r *Runtime) FreshKeyHashes() (app, in, out uint64) {
+	return canon.Hash64String(r.App.StateKey()), hashQueues(r.inQ), hashQueues(r.outQ)
+}
+
+// hashQueues hashes a channel map as the sum of its finished per-switch
+// queue hashes, which does not depend on map iteration order. Each
+// queue folds its switch, its length and its messages in order.
+func hashQueues(m map[openflow.SwitchID][]openflow.Msg) uint64 {
+	var sum uint64
 	for sw, q := range m {
-		if len(q) > 0 {
-			keys = append(keys, sw)
+		if len(q) == 0 {
+			continue
 		}
-	}
-	// Insertion sort: sort.Slice's closure would force the key buffer
-	// to escape to the heap on every channel render.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+		x := canon.Mix(canon.Mix(canon.WordSeed, uint64(sw)), uint64(len(q)))
+		for i := range q {
+			x = canon.Mix(x, q[i].KeyHash64())
 		}
+		sum += canon.Finish(x)
 	}
-	// Messages carry memoized keys (Msg.MemoKey), so sizing the builder
-	// is a cheap len sum and the rendering itself is pure copying.
-	size := 0
-	for _, sw := range keys {
-		size += 12
-		for i := range m[sw] {
-			size += len(m[sw][i].Key()) + 1
-		}
-	}
-	b.Grow(size)
-	for _, sw := range keys {
+	return sum
+}
+
+// renderQueues renders a channel map: the non-empty queues in switch
+// order, each as its messages' keys.
+func renderQueues(b *strings.Builder, m map[openflow.SwitchID][]openflow.Msg) {
+	for _, sw := range sortedKeys(m) {
 		b.WriteByte('s')
 		b.WriteString(strconv.Itoa(int(sw)))
 		b.WriteString(":[")

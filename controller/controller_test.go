@@ -131,25 +131,43 @@ func TestRuntimeCloneIndependence(t *testing.T) {
 	}
 }
 
+// runtimeState is the runtime's rendered key plus its cached component
+// hashes; the two must move together.
+type runtimeState struct {
+	key          string
+	app, in, out uint64
+}
+
+func stateOf(rt *Runtime) runtimeState {
+	return runtimeState{rt.RenderStateKey(), rt.AppKeyHash64(), rt.InKeyHash64(), rt.OutKeyHash64()}
+}
+
 func TestStateKeyIncludesChannelsExcludesCounters(t *testing.T) {
 	rt := NewRuntime(&recorderApp{})
-	base := rt.StateKey()
+	base := stateOf(rt)
 	rt.DeliverToController(packetInMsg())
-	if rt.StateKey() == base {
-		t.Error("inbound channel not part of the state key")
+	if got := stateOf(rt); got.key == base.key || got.in == base.in {
+		t.Error("inbound channel not part of the state key or hash")
 	}
 	rt.PopIn(1)
-	if rt.StateKey() != base {
-		t.Error("drained runtime state key differs from baseline")
+	if stateOf(rt) != base {
+		t.Error("drained runtime state key or hash differs from baseline")
 	}
 	// Advancing seq/xid alone must not change the key (scheduler
 	// metadata, excluded by design).
 	rt.Emit(nil)
 	rt2 := NewRuntime(&recorderApp{})
 	rt2.Emit([]openflow.Msg{{Type: openflow.MsgFlowMod, Switch: 1}})
+	if got := stateOf(rt2); got.out == base.out {
+		t.Error("outbound channel not part of the state hash")
+	}
 	rt2.PopOut(1)
-	if rt2.StateKey() != base {
-		t.Error("emitting and draining left residue in the key")
+	if stateOf(rt2) != base {
+		t.Error("emitting and draining left residue in the key or hash")
+	}
+	app, in, out := rt2.FreshKeyHashes()
+	if app != base.app || in != base.in || out != base.out {
+		t.Error("fresh hashes differ from the cached ones")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Documentation lints: every Go package in the module must carry a
-// package comment, and every relative markdown link (including its
-// heading anchor) must resolve. Both run as ordinary tests so CI's
-// docs job fails the moment a package or a link goes undocumented.
+// package comment, every relative markdown link (including its heading
+// anchor) must resolve, and every markdown file a Go file names must
+// exist. All run as ordinary tests so CI's docs job fails the moment a
+// package or a link goes undocumented.
 package nice_test
 
 import (
@@ -70,6 +71,48 @@ func TestPackageDocs(t *testing.T) {
 	for _, p := range undocumented {
 		t.Errorf("package %s has no package comment (add a doc.go)", p)
 	}
+}
+
+var mdNameRE = regexp.MustCompile(`[\w./-]+\.md\b`)
+
+// TestGoFilesNameExistingMarkdown fails when a comment or string in a
+// .go file names a markdown file that exists neither next to the Go
+// file nor at that path from the module root.
+func TestGoFilesNameExistingMarkdown(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // .git, .github, build outputs
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		body, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(body), "\n") {
+			for _, name := range mdNameRE.FindAllString(line, -1) {
+				if !fileExists(filepath.Join(filepath.Dir(path), name)) && !fileExists(name) {
+					t.Errorf("%s:%d names %s, which does not exist", path, i+1, name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 var mdLinkRE = regexp.MustCompile(`\]\(([^)\s]+)\)`)

@@ -68,12 +68,11 @@ type Host struct {
 	SentCount int
 	Received  []openflow.Header
 
-	// key caches the canonical StateKey and its 64-bit hash for
-	// incremental state fingerprinting: valid until the next mutating
-	// method runs, copied by Clone so unchanged hosts are not
-	// re-rendered as the search forks. Code that mutates exported
-	// fields directly after a StateKey call must call Invalidate.
-	key      string
+	// keyHash caches the structured state hash for incremental state
+	// fingerprinting: valid until the next mutating method runs,
+	// copied by Clone so unchanged hosts are not re-hashed as the
+	// search forks. Code that mutates exported fields directly after a
+	// KeyHash64 call must call Invalidate.
 	keyHash  uint64
 	keyValid bool
 
@@ -83,7 +82,7 @@ type Host struct {
 	cow.Tag
 }
 
-// Invalidate drops the cached StateKey rendering.
+// Invalidate drops the cached state hash.
 func (h *Host) Invalidate() { h.keyValid = false }
 
 // Clone deep-copies the host state — the retained deep-copy forking
@@ -195,29 +194,42 @@ func (h *Host) Move() (topo.PortKey, bool) {
 	return h.Loc, true
 }
 
-// StateKey renders the host state canonically for hashing, reusing the
-// cached rendering when no mutation happened since the last call.
-func (h *Host) StateKey() string {
-	if h.keyValid {
-		return h.key
-	}
-	h.key = h.RenderStateKey()
-	h.keyHash = canon.Hash64String(h.key)
-	h.keyValid = true
-	return h.key
-}
-
-// KeyHash64 returns the cached 64-bit hash of StateKey — the component
-// hash System.Fingerprint combines.
+// KeyHash64 is the structured hash of RenderStateKey, the component
+// hash System.Fingerprint combines. It folds the same fields in the
+// same order and is cached until the next mutation.
 func (h *Host) KeyHash64() uint64 {
-	h.StateKey()
+	if !h.keyValid {
+		h.keyHash = h.FreshKeyHash64()
+		h.keyValid = true
+	}
 	return h.keyHash
 }
 
-// RenderStateKey rebuilds the canonical state key from scratch, ignoring
-// the cache (the differential-oracle path). The rendering is hand
-// appended — hosts re-render on every send/receive, which made the fmt
-// path one of the hottest allocation sites of the whole search.
+// FreshKeyHash64 recomputes KeyHash64, ignoring the cache;
+// core.System.VerifyCaches compares the two.
+func (h *Host) FreshKeyHash64() uint64 {
+	x := canon.Mix(canon.WordSeed, uint64(h.ID))
+	for _, v := range [...]int{int(h.Loc.Sw), int(h.Loc.Port), h.SendBudget, h.Credits,
+		h.ReplyBudget, h.SentCount, h.RepIdx, len(h.MoveTargets)} {
+		x = canon.Mix(x, uint64(v))
+	}
+	for _, m := range h.MoveTargets {
+		x = canon.Mix(canon.Mix(x, uint64(m.Sw)), uint64(m.Port))
+	}
+	x = canon.Mix(x, uint64(len(h.PendingReplies)))
+	for i := range h.PendingReplies {
+		x = canon.Mix(x, h.PendingReplies[i].KeyHash64())
+	}
+	x = canon.Mix(x, uint64(len(h.Received)))
+	for i := range h.Received {
+		x = canon.Mix(x, h.Received[i].KeyHash64())
+	}
+	return canon.Finish(x)
+}
+
+// RenderStateKey renders the host state canonically from scratch — the
+// reference KeyHash64 hashes, and the rendering the oracle fingerprint
+// hashes instead.
 func (h *Host) RenderStateKey() string {
 	b := make([]byte, 0, 96)
 	b = append(b, "host"...)

@@ -154,14 +154,17 @@ func TestHostCloneIndependence(t *testing.T) {
 
 func TestStateKeyReflectsDynamics(t *testing.T) {
 	a, _ := clientServerPair()
-	k1 := a.StateKey()
+	k1, h1 := a.RenderStateKey(), a.KeyHash64()
 	a.ConsumeSend()
-	k2 := a.StateKey()
-	if k1 == k2 {
-		t.Error("send not visible in state key")
+	k2, h2 := a.RenderStateKey(), a.KeyHash64()
+	if k1 == k2 || h1 == h2 {
+		t.Error("send not visible in state key or hash")
 	}
 	a.Receive(openflow.Header{Payload: "x"})
-	if a.StateKey() == k2 {
-		t.Error("receive not visible in state key")
+	if a.RenderStateKey() == k2 || a.KeyHash64() == h2 {
+		t.Error("receive not visible in state key or hash")
+	}
+	if a.KeyHash64() != a.FreshKeyHash64() {
+		t.Error("cached hash differs from a fresh one")
 	}
 }

@@ -46,8 +46,7 @@ const (
 // Hasher is a streaming FNV-1a 128-bit hasher that consumes strings and
 // integers without any []byte conversion or allocation. It is the
 // combining stage of incremental state fingerprinting: components feed
-// their cached canonical keys (or cached 64-bit component hashes) into
-// one Hasher per state.
+// their cached 64-bit structured hashes into one Hasher per state.
 type Hasher struct {
 	hi, lo uint64
 }
@@ -59,7 +58,11 @@ func NewHasher() Hasher {
 
 func (h *Hasher) mix(c byte) {
 	h.lo ^= uint64(c)
-	// Multiply the 128-bit state by the FNV prime modulo 2^128.
+	h.mulPrime()
+}
+
+// mulPrime multiplies the 128-bit state by the FNV prime modulo 2^128.
+func (h *Hasher) mulPrime() {
 	s0, s1 := bits.Mul64(prime128Lower, h.lo)
 	s0 += h.lo<<prime128Shift + prime128Lower*h.hi
 	h.lo = s1
@@ -78,12 +81,13 @@ func (h *Hasher) WriteSep(c byte) {
 	h.mix(c)
 }
 
-// WriteUint64 hashes v as 8 big-endian bytes — the fast path for cached
-// 64-bit component hashes.
+// WriteUint64 folds v into the digest as one word: it XORs v into the
+// low half and multiplies by the FNV prime once, where hashing its eight
+// bytes would take eight multiplies. The result is not the FNV-1a hash
+// of any byte string; it combines cached 64-bit component hashes.
 func (h *Hasher) WriteUint64(v uint64) {
-	for shift := 56; shift >= 0; shift -= 8 {
-		h.mix(byte(v >> shift))
-	}
+	h.lo ^= v
+	h.mulPrime()
 }
 
 // WriteInt hashes the decimal rendering of v (plus no separator); small
@@ -108,7 +112,7 @@ func Hash128(s string) Digest {
 }
 
 // Hash64String is FNV-1a 64-bit over a string, allocation-free — the
-// per-component hash cached alongside canonical keys.
+// hash of the application and property keys.
 func Hash64String(s string) uint64 {
 	h := uint64(offset64)
 	for i := 0; i < len(s); i++ {

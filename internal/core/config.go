@@ -75,7 +75,8 @@ type Config struct {
 	// exchange completes atomically within the triggering transition
 	// ("the global system runs in lock step"). Stats replies dispatch
 	// with their concrete values, so threshold-crossing behaviours are
-	// deliberately out of reach — see DESIGN.md.
+	// deliberately out of reach (Table 2: NO-DELAY misses BUG-V, BUG-X
+	// and BUG-XI).
 	NoDelay bool
 	// Unusual enables the UNUSUAL strategy: depth-first exploration
 	// prefers orderings that delay and reverse controller→switch
@@ -105,7 +106,8 @@ type Config struct {
 	// "relevant inputs" strawman of §2.2.1).
 	DisableSE bool
 	// MicroSteps switches process_pkt to one-packet-per-channel
-	// granularity (the fine-grained baseline of DESIGN.md §2(3)).
+	// granularity (the fine-grained baseline standing in for the
+	// paper's §7 SPIN/JPF comparison).
 	MicroSteps bool
 	// OracleHash makes Fingerprint hash the full from-scratch state
 	// serialization instead of combining cached component hashes — the

@@ -145,10 +145,11 @@ type Property interface {
 	StateKey() string
 }
 
-// KeyHasher is implemented by properties that memoize the 64-bit hash
-// of their StateKey alongside the rendering; System.Fingerprint then
-// combines the cached hash instead of re-hashing the key string on
-// every explored state.
+// KeyHasher is implemented by properties that memoize the 64-bit
+// FNV-1a hash (hash/fnv's New64a) of their StateKey alongside the
+// rendering; System.Fingerprint then combines the cached hash instead of
+// re-hashing the key string on every explored state, and
+// System.VerifyCaches checks it against a fresh render.
 type KeyHasher interface {
 	StateKeyHash64() uint64
 }

@@ -11,9 +11,11 @@ import (
 // the key of every explored-state set. Instead of re-serializing the
 // whole system per state (the paper hashes a full cPickle serialization,
 // §6; the seed code walked everything through reflection), it combines
-// the cached per-component hashes maintained by dirty-tracking at the
-// mutation sites: a switch, host or controller component that did not
-// change since the last state renders exactly nothing.
+// the cached 64-bit structured hashes the components keep (KeyHash64 on
+// switches and hosts, the channel hashes of the controller runtime)
+// with dirty-tracking at the mutation sites: a component that did not
+// change since the last state costs one word. Each word folds into the
+// digest with a single multiply (canon.Hasher.WriteUint64).
 //
 // With Config.OracleHash set, the fingerprint is instead the hash of the
 // full from-scratch serialization (OracleKey). States with equal
@@ -23,80 +25,65 @@ import (
 // combining, so a cross-component 64-bit collision could merge states
 // the oracle distinguishes. The differential tests assert the search
 // reports agree in practice; a one-mode-only count divergence therefore
-// means either a missing dirty hook (VerifyCaches pinpoints it) or a
-// component-hash collision.
+// means either a missing dirty hook (VerifyCaches pinpoints it), a
+// structured hash that disagrees with its key (the fuzz tests in
+// openflow/keys_fuzz_test.go hold them together) or a component-hash
+// collision.
 func (s *System) Fingerprint() canon.Digest {
 	if s.cfg.OracleHash {
 		return canon.Hash128(s.OracleKey())
 	}
 	// Combining the incremental hashes fills every memoized component
-	// key as a side effect — the same walk warmKeyCaches does.
+	// hash as a side effect — the same walk warmKeyCaches does.
 	defer func() { s.cachesWarm = true }()
 	h := canon.NewHasher()
 	canonical := s.cfg.canonicalTables()
 	hashCounters := s.cfg.HashCounters || s.cfg.NoSwitchReduction
+	// The component populations and the property list are fixed for a
+	// System's lifetime, so the words need no separators or names.
 	for _, sw := range s.switches {
 		h.WriteUint64(sw.KeyHash64(canonical, hashCounters))
 	}
 	h.WriteUint64(s.ctrl.AppKeyHash64())
-	h.WriteSep('|')
 	h.WriteUint64(s.ctrl.InKeyHash64())
-	h.WriteSep('|')
 	h.WriteUint64(s.ctrl.OutKeyHash64())
-	h.WriteSep('|')
 	for _, host := range s.hosts {
 		h.WriteUint64(host.KeyHash64())
 	}
 	// Property keys are memoized with their hashes (props.cachedKey);
 	// non-KeyHasher properties fall back to hashing the rendered key.
 	for _, p := range s.props {
-		h.WriteString(p.Name())
-		h.WriteSep(':')
 		if kh, ok := p.(KeyHasher); ok {
 			h.WriteUint64(kh.StateKeyHash64())
 		} else {
-			h.WriteString(p.StateKey())
+			h.WriteUint64(canon.Hash64String(p.StateKey()))
 		}
-		h.WriteSep('\n')
 	}
 	if !s.cfg.DisableSE {
 		app := s.ctrl.AppKeyDigest()
 		for _, host := range s.hosts {
 			if pkts, ok := s.caches.getPackets(packetsKeyWith(host, app)); ok {
-				h.WriteString("se:")
-				h.WriteInt(int(host.ID))
-				h.WriteSep('=')
-				h.WriteInt(len(pkts))
-				h.WriteSep('\n')
+				h.WriteSep('p')
+				h.WriteUint64(uint64(host.ID))
+				h.WriteUint64(uint64(len(pkts)))
 			}
 		}
 		for _, sw := range s.swIDs {
 			if vs, ok := s.caches.getStats(statsCacheKey{sw: sw, app: app}); ok {
-				h.WriteString("ses:")
-				h.WriteInt(int(sw))
-				h.WriteSep('=')
-				h.WriteInt(len(vs))
-				h.WriteSep('\n')
+				h.WriteSep('s')
+				h.WriteUint64(uint64(sw))
+				h.WriteUint64(uint64(len(vs)))
 			}
 		}
 	}
-	h.WriteString("fg:")
+	h.WriteSep('g')
+	h.WriteUint64(uint64(len(s.lastGroup)))
 	h.WriteString(s.lastGroup)
-	h.WriteSep(' ')
 	writeGroupCounts(&h, s.groupCounts)
-	h.WriteSep(' ')
-	// Fault budgets feed the hasher as raw ints (faultState.key's
-	// Sprintf was one alloc per explored state on the oracle-free path).
-	h.WriteSep('f')
-	h.WriteInt(s.faults.drops)
-	h.WriteSep(',')
-	h.WriteInt(s.faults.dups)
-	h.WriteSep(',')
-	h.WriteInt(s.faults.reorders)
-	h.WriteSep(',')
-	h.WriteInt(s.faults.linkFails)
-	h.WriteSep(',')
-	h.WriteInt(s.faults.switchFails)
+	for _, n := range [...]int{s.faults.drops, s.faults.dups, s.faults.reorders,
+		s.faults.linkFails, s.faults.switchFails} {
+		h.WriteUint64(uint64(n))
+	}
 	return h.Sum()
 }
 
@@ -124,33 +111,48 @@ func writeGroupCounts(h *canon.Hasher, counts map[string]int) {
 	h.WriteSep('}')
 }
 
-// VerifyCaches cross-checks every component's cached canonical key
-// against a from-scratch render, returning an error describing the first
-// divergence. Stress tests walk transition sequences and call it after
-// every step; a failure means a mutation path is missing its
-// dirty-tracking hook.
+// VerifyCaches cross-checks every component's cached hash against a
+// from-scratch structured hash — switches (with their flow tables),
+// hosts, the controller's application key and channels — and every
+// memoized property key against a fresh render, returning an error
+// naming the first divergence. Stress tests walk transition sequences
+// and call it after every step; a failure means a mutation path is
+// missing its dirty-tracking hook.
 func (s *System) VerifyCaches() error {
-	cached := s.StateKey()
-	fresh := s.OracleKey()
-	if cached == fresh {
-		return nil
+	canonical := s.cfg.canonicalTables()
+	hashCounters := s.cfg.HashCounters || s.cfg.NoSwitchReduction
+	for _, sw := range s.switches {
+		if got, want := sw.KeyHash64(canonical, hashCounters), sw.FreshKeyHash64(canonical, hashCounters); got != want {
+			return fmt.Errorf("core: stale hash %016x (fresh %016x) for switch %s", got, want,
+				sw.RenderStateKey(canonical, hashCounters))
+		}
 	}
-	// Narrow the report to the first diverging line for debuggability.
-	i := 0
-	for i < len(cached) && i < len(fresh) && cached[i] == fresh[i] {
-		i++
+	app, in, out := s.ctrl.FreshKeyHashes()
+	if got := s.ctrl.AppKeyHash64(); got != app {
+		return fmt.Errorf("core: stale application key hash %016x (fresh %016x): cached %q, fresh %q",
+			got, app, s.ctrl.AppKey(), s.ctrl.App.StateKey())
 	}
-	lo := i - 60
-	if lo < 0 {
-		lo = 0
+	if got := s.ctrl.InKeyHash64(); got != in {
+		return fmt.Errorf("core: stale switch-to-controller channel hash %016x (fresh %016x): %s",
+			got, in, s.ctrl.RenderStateKey())
 	}
-	hiC, hiF := i+60, i+60
-	if hiC > len(cached) {
-		hiC = len(cached)
+	if got := s.ctrl.OutKeyHash64(); got != out {
+		return fmt.Errorf("core: stale controller-to-switch channel hash %016x (fresh %016x): %s",
+			got, out, s.ctrl.RenderStateKey())
 	}
-	if hiF > len(fresh) {
-		hiF = len(fresh)
+	for _, h := range s.hosts {
+		if got, want := h.KeyHash64(), h.FreshKeyHash64(); got != want {
+			return fmt.Errorf("core: stale hash %016x (fresh %016x) for host %s", got, want, h.RenderStateKey())
+		}
 	}
-	return fmt.Errorf("core: stale component cache at byte %d:\n  cached: …%s…\n  fresh:  …%s…",
-		i, cached[lo:hiC], fresh[lo:hiF])
+	for _, p := range s.props {
+		cached, fresh := propKeyFor(p, false), propKeyFor(p, true)
+		if cached != fresh {
+			return fmt.Errorf("core: stale key for property %s: cached %q, fresh %q", p.Name(), cached, fresh)
+		}
+		if kh, ok := p.(KeyHasher); ok && kh.StateKeyHash64() != canon.Hash64String(fresh) {
+			return fmt.Errorf("core: stale key hash for property %s (key %q)", p.Name(), fresh)
+		}
+	}
+	return nil
 }

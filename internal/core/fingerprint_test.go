@@ -2,6 +2,7 @@ package core
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -47,7 +48,7 @@ func TestVerifyCachesCatchesStalePropertyMemo(t *testing.T) {
 	}
 	// Prime the memo, then mutate the property the way the checker does
 	// (OnEvents after a transition) without invalidating.
-	_ = sys.StateKey()
+	sys.Fingerprint()
 	enabled := sys.Enabled()
 	if len(enabled) == 0 {
 		t.Fatal("no enabled transitions")
@@ -63,5 +64,36 @@ func TestVerifyCachesCatchesStalePropertyMemo(t *testing.T) {
 	}
 	if err := sys.VerifyCaches(); err == nil {
 		t.Fatal("VerifyCaches missed a stale property memo — oracle is reading the memoized key")
+	}
+}
+
+// TestVerifyCachesCatchesStaleSwitchHash flips Switch.Alive directly —
+// the exported-field mutation whose contract demands MarkDirty — and
+// requires VerifyCaches to report the switch's cached structured hash
+// as stale against a from-scratch one.
+func TestVerifyCachesCatchesStaleSwitchHash(t *testing.T) {
+	sys := NewSystem(hubConfig(1))
+	before := sys.Fingerprint() // fills every cached component hash
+	if err := sys.VerifyCaches(); err != nil {
+		t.Fatalf("initial state should verify: %v", err)
+	}
+	sw := sys.Switch(sys.SwitchIDs()[0])
+	sw.Alive = !sw.Alive // mutation WITHOUT MarkDirty
+	err := sys.VerifyCaches()
+	if err == nil {
+		t.Fatal("VerifyCaches missed a switch mutated without MarkDirty")
+	}
+	if !strings.Contains(err.Error(), "switch") {
+		t.Errorf("divergence report does not name the switch: %v", err)
+	}
+	if sys.Fingerprint() != before {
+		t.Fatal("the stale cached hash should still feed Fingerprint")
+	}
+	sw.MarkDirty()
+	if err := sys.VerifyCaches(); err != nil {
+		t.Fatalf("after MarkDirty: %v", err)
+	}
+	if sys.Fingerprint() == before {
+		t.Error("Fingerprint ignores Alive")
 	}
 }

@@ -567,7 +567,7 @@ type System struct {
 	propsOwned uint64
 	// groupEpoch marks groupCounts owned when equal to epoch.
 	groupEpoch uint64
-	// cachesWarm notes that every memoized component key is valid (set
+	// cachesWarm notes that every memoized component hash is valid (set
 	// by warmKeyCaches and the incremental Fingerprint, cleared by the
 	// ensureOwned hooks): Clone skips the warming walk entirely while
 	// nothing has mutated since the last fingerprint.
@@ -594,7 +594,7 @@ type System struct {
 // topology, hosts cloned from their prototypes, and the application
 // booted by dispatching a switch_join per switch, with all resulting
 // messages applied synchronously (the network is fully joined before
-// exploration starts; see DESIGN.md).
+// exploration starts).
 func NewSystem(cfg *Config) *System {
 	return newSystem(cfg, NewCaches())
 }
@@ -689,13 +689,13 @@ func (s *System) Clone() *System {
 	if m := s.met; m != nil {
 		m.forks.Inc()
 		if s.cachesWarm {
-			// Every memoized component key is still valid — the
+			// Every memoized component hash is still valid — the
 			// fingerprint-cache hit that lets this fork skip the
 			// warming walk below.
 			m.forksWarm.Inc()
 		}
 	}
-	// Freeze the shared state: warm every memoized component key first
+	// Freeze the shared state: warm every memoized component hash first
 	// (so frozen components are only ever read, never filled, even
 	// under the parallel engines), then retire this System's epoch so
 	// no component tag matches either side — the first write on either
@@ -813,10 +813,11 @@ func (s *System) deepClone() *System {
 	return c
 }
 
-// warmKeyCaches renders every memoized component key (a no-op when
-// already warm), maintaining cow invariant 3: at fork time all caches
-// are valid, so frozen shared components are never written — not even
-// by their own memoization — while forks read them concurrently.
+// warmKeyCaches fills every memoized component hash and property key
+// that Fingerprint reads (a no-op when already warm), maintaining cow
+// invariant 3: at fork time all caches are valid, so frozen shared
+// components are never written — not even by their own memoization —
+// while forks read them concurrently.
 func (s *System) warmKeyCaches() {
 	canonical := s.cfg.canonicalTables()
 	hashCounters := s.cfg.HashCounters || s.cfg.NoSwitchReduction
@@ -824,8 +825,8 @@ func (s *System) warmKeyCaches() {
 		sw.KeyHash64(canonical, hashCounters)
 	}
 	s.ctrl.AppKeyHash64()
-	s.ctrl.InKey()
-	s.ctrl.OutKey()
+	s.ctrl.InKeyHash64()
+	s.ctrl.OutKeyHash64()
 	for _, h := range s.hosts {
 		h.KeyHash64()
 	}
@@ -976,53 +977,34 @@ func (s *System) Config() *Config { return s.cfg }
 // Properties exposes this state's property instances.
 func (s *System) Properties() []Property { return s.props }
 
-// StateKey renders the full system state canonically, reusing the
-// per-component key caches (which hold exactly the same strings a fresh
-// render produces; OracleKey re-renders everything to prove it).
-func (s *System) StateKey() string { return s.renderStateKey(false) }
-
 // OracleKey renders the full system state from scratch, bypassing every
 // component cache — the reference the incremental fingerprint is
 // differentially tested against.
-func (s *System) OracleKey() string { return s.renderStateKey(true) }
-
-func (s *System) renderStateKey(fresh bool) string {
+func (s *System) OracleKey() string {
 	var b strings.Builder
 	canonical := s.cfg.canonicalTables()
 	hashCounters := s.cfg.HashCounters || s.cfg.NoSwitchReduction
 	for _, sw := range s.switches {
-		if fresh {
-			b.WriteString(sw.RenderStateKey(canonical, hashCounters))
-		} else {
-			b.WriteString(sw.StateKey(canonical, hashCounters))
-		}
+		b.WriteString(sw.RenderStateKey(canonical, hashCounters))
 		b.WriteByte('\n')
 	}
-	if fresh {
-		b.WriteString(s.ctrl.RenderStateKey())
-	} else {
-		b.WriteString(s.ctrl.StateKey())
-	}
+	b.WriteString(s.ctrl.RenderStateKey())
 	b.WriteByte('\n')
 	for _, h := range s.hosts {
-		if fresh {
-			b.WriteString(h.RenderStateKey())
-		} else {
-			b.WriteString(h.StateKey())
-		}
+		b.WriteString(h.RenderStateKey())
 		b.WriteByte('\n')
 	}
 	for _, p := range s.props {
 		b.WriteString(p.Name())
 		b.WriteByte(':')
-		b.WriteString(propKeyFor(p, fresh))
+		b.WriteString(propKeyFor(p, true))
 		b.WriteByte('\n')
 	}
 	// The relevant-packet caches gate which transitions are enabled
 	// (discover vs send), so cache presence for the *current* state is
 	// part of its identity — mirroring Figure 5's client.packets map.
 	if !s.cfg.DisableSE {
-		app := s.appDigestFor(fresh)
+		app := canon.Hash128(s.ctrl.App.StateKey())
 		for _, h := range s.hosts {
 			if pkts, ok := s.caches.getPackets(packetsKeyWith(h, app)); ok {
 				fmt.Fprintf(&b, "se:%d=%d\n", int(h.ID), len(pkts))
@@ -1036,15 +1018,6 @@ func (s *System) renderStateKey(fresh bool) string {
 	}
 	fmt.Fprintf(&b, "fg:%s %s %s", s.lastGroup, canon.String(s.groupCounts), s.faults.key())
 	return b.String()
-}
-
-// appDigestFor returns the application-state digest, cached or freshly
-// rendered.
-func (s *System) appDigestFor(fresh bool) canon.Digest {
-	if fresh {
-		return canon.Hash128(s.ctrl.App.StateKey())
-	}
-	return s.ctrl.AppKeyDigest()
 }
 
 // Hash returns the hex digest form of Fingerprint (hash-based state

@@ -183,7 +183,7 @@ func (h *HeapPeak) Sample() uint64 {
 // The counters sit on the internal/cow protocol's call sites: forks,
 // lazy ensureOwned component copies, releases and pool recycles — plus
 // forks_warm, the fingerprint-cache hit signal (a fork that found every
-// memoized component key already warm skipped the warming walk).
+// memoized component hash already warm skipped the warming walk).
 type SystemTelemetry struct {
 	forks     *telemetry.Counter
 	forksWarm *telemetry.Counter

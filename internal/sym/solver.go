@@ -11,7 +11,7 @@ import (
 // and boundary constants mined from the path condition. Over such
 // domains, exhaustive backtracking search is a sound and complete
 // decision procedure, which is the role STP plays in the original
-// prototype (see DESIGN.md §2, substitution 2).
+// prototype (§3.2; see docs/SYMBOLIC.md).
 type Domain struct {
 	Var        string
 	Candidates []uint64

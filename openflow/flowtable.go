@@ -3,6 +3,8 @@ package openflow
 import (
 	"sort"
 	"strings"
+
+	"github.com/nice-go/nice/internal/canon"
 )
 
 // Permanent marks a timeout that never fires (the PERMANENT constant of
@@ -17,7 +19,7 @@ type Rule struct {
 	Actions  []Action
 	// IdleTimeout (soft timeout) and HardTimeout are in model ticks;
 	// Permanent (0) disables them. Timer expiry is an optional
-	// environment transition — see DESIGN.md §2(6).
+	// environment transition (core.Config.EnableTimers).
 	IdleTimeout int
 	HardTimeout int
 
@@ -38,7 +40,7 @@ func (r Rule) CloneRule() Rule {
 }
 
 // Key renders the rule canonically, excluding counters (counters are
-// bookkeeping, not semantics; see FlowTable.CanonicalKey).
+// bookkeeping, not semantics; see FlowTable.RenderCanonicalKey).
 func (r Rule) Key() string {
 	var buf [256]byte
 	return string(r.appendKey(buf[:0]))
@@ -63,17 +65,15 @@ type FlowTable struct {
 	// borrowed marks rule storage shared with the table this one was
 	// forked from; the first mutation copies the elements and clears it.
 	borrowed bool
-	// key caches one rendered table key (canonical or insertion-order,
-	// with its counter variant), valid until the next rule mutation.
-	// Queue-only switch mutations re-render the switch key but reuse
-	// this — re-rendering every rule per enqueue dominated the
-	// load-balancer workloads' allocation profile.
-	key tableKeyCache
+	// key caches one table hash (canonical or insertion-order, with
+	// its counter variant), valid until the next rule mutation.
+	// Queue-only switch mutations re-hash the switch but reuse this.
+	key tableHashCache
 }
 
-// tableKeyCache caches one rendered table key with its parameters.
-type tableKeyCache struct {
-	str       string
+// tableHashCache caches one table hash with its parameters.
+type tableHashCache struct {
+	hash      uint64
 	valid     bool
 	canonical bool
 	counters  bool
@@ -247,24 +247,45 @@ func (t *FlowTable) Tick() []Rule {
 	return expired
 }
 
-// CanonicalKey is the canonical representation of the table used for
-// state hashing: the sorted multiset of rule keys. Two tables holding the
-// same rules in different insertion orders produce identical keys —
-// the state-space reduction measured by Table 1 of the paper.
+// KeyHash64 is the structured hash of the table key the switch key
+// embeds: RenderCanonicalKey's when canonical is set, otherwise
+// RenderInsertionOrderKey's. It is cached until the next rule mutation.
 //
-// If includeCounters is true, per-rule counters are appended; the
-// NO-SWITCH-REDUCTION ablation uses InsertionOrderKey instead.
-func (t *FlowTable) CanonicalKey(includeCounters bool) string {
-	if t.key.valid && t.key.canonical && t.key.counters == includeCounters {
-		return t.key.str
+// The canonical hash is the sum of the table's finished per-rule
+// hashes, so it does not depend on rule order: two tables holding the
+// same rules in different insertion orders hash alike — the
+// state-space reduction measured by Table 1 of the paper. The
+// insertion-order hash folds the rules in list order, reproducing the
+// NO-SWITCH-REDUCTION baseline.
+func (t *FlowTable) KeyHash64(canonical, includeCounters bool) uint64 {
+	if t.key.valid && t.key.canonical == canonical && t.key.counters == includeCounters {
+		return t.key.hash
 	}
-	str := t.RenderCanonicalKey(includeCounters)
-	t.key = tableKeyCache{str: str, valid: true, canonical: true, counters: includeCounters}
-	return str
+	h := t.FreshKeyHash64(canonical, includeCounters)
+	t.key = tableHashCache{hash: h, valid: true, canonical: canonical, counters: includeCounters}
+	return h
 }
 
-// RenderCanonicalKey rebuilds the canonical key from scratch, ignoring
-// the cache (the differential-oracle path).
+// FreshKeyHash64 recomputes KeyHash64 from scratch, ignoring the cache.
+func (t *FlowTable) FreshKeyHash64(canonical, includeCounters bool) uint64 {
+	x := mix(canon.WordSeed, len(t.rules))
+	if canonical {
+		var sum uint64
+		for i := range t.rules {
+			sum += canon.Finish(t.rules[i].mixStateKey(canon.WordSeed, includeCounters))
+		}
+		return canon.Finish(canon.Mix(x, sum))
+	}
+	for i := range t.rules {
+		x = t.rules[i].mixStateKey(x, includeCounters)
+	}
+	return canon.Finish(x)
+}
+
+// RenderCanonicalKey is the canonical representation of the table: the
+// sorted multiset of rule keys, with per-rule counters appended when
+// includeCounters is set. KeyHash64 hashes it; this rendering is the
+// reference the oracle fingerprint hashes.
 func (t *FlowTable) RenderCanonicalKey(includeCounters bool) string {
 	keys := make([]string, len(t.rules))
 	for i, r := range t.rules {
@@ -274,20 +295,10 @@ func (t *FlowTable) RenderCanonicalKey(includeCounters bool) string {
 	return strings.Join(keys, "|")
 }
 
-// InsertionOrderKey serializes rules in raw insertion order. Using it in
-// place of CanonicalKey reproduces the paper's NO-SWITCH-REDUCTION
-// baseline, where semantically equivalent tables hash differently.
-func (t *FlowTable) InsertionOrderKey(includeCounters bool) string {
-	if t.key.valid && !t.key.canonical && t.key.counters == includeCounters {
-		return t.key.str
-	}
-	str := t.RenderInsertionOrderKey(includeCounters)
-	t.key = tableKeyCache{str: str, valid: true, canonical: false, counters: includeCounters}
-	return str
-}
-
-// RenderInsertionOrderKey rebuilds the insertion-order key from
-// scratch, ignoring the cache (the differential-oracle path).
+// RenderInsertionOrderKey serializes rules in raw insertion order.
+// Using it in place of RenderCanonicalKey reproduces the paper's
+// NO-SWITCH-REDUCTION baseline, where semantically equivalent tables
+// hash differently.
 func (t *FlowTable) RenderInsertionOrderKey(includeCounters bool) string {
 	keys := make([]string, len(t.rules))
 	for i, r := range t.rules {

@@ -131,8 +131,8 @@ func TestIdleTimeoutResetByHit(t *testing.T) {
 }
 
 // TestCanonicalKeyOrderIndependence is the core Table 1 property: any
-// permutation of installs yields the same canonical key, while the
-// insertion-order key differs for different arrival orders.
+// permutation of installs yields the same canonical key and hash, while
+// the insertion-order key and hash differ for different arrival orders.
 func TestCanonicalKeyOrderIndependence(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	rules := []Rule{
@@ -142,23 +142,33 @@ func TestCanonicalKeyOrderIndependence(t *testing.T) {
 		ruleOut(3, MatchAll(), 4),
 	}
 	var canon string
-	insertion := make(map[string]bool)
+	var canonHash uint64
+	insertion := make(map[string]uint64)
+	insertionHashes := make(map[uint64]bool)
 	for trial := 0; trial < 50; trial++ {
 		perm := r.Perm(len(rules))
 		ft := NewFlowTable()
 		for _, i := range perm {
 			ft.Install(rules[i])
 		}
-		ck := ft.CanonicalKey(false)
+		ck, ch := ft.RenderCanonicalKey(false), ft.KeyHash64(true, false)
 		if trial == 0 {
-			canon = ck
-		} else if ck != canon {
-			t.Fatalf("canonical key differs across permutations:\n%s\nvs\n%s", canon, ck)
+			canon, canonHash = ck, ch
+		} else if ck != canon || ch != canonHash {
+			t.Fatalf("canonical key or hash differs across permutations:\n%s\nvs\n%s", canon, ck)
 		}
-		insertion[ft.InsertionOrderKey(false)] = true
+		ik, ih := ft.RenderInsertionOrderKey(false), ft.KeyHash64(false, false)
+		if prev, ok := insertion[ik]; ok && prev != ih {
+			t.Fatalf("equal insertion-order keys hash differently: %s", ik)
+		}
+		insertion[ik] = ih
+		insertionHashes[ih] = true
 	}
 	if len(insertion) < 2 {
 		t.Error("insertion-order key did not distinguish any permutations")
+	}
+	if len(insertionHashes) != len(insertion) {
+		t.Errorf("%d insertion-order keys but %d hashes", len(insertion), len(insertionHashes))
 	}
 }
 
@@ -215,14 +225,27 @@ func TestCloneIndependence(t *testing.T) {
 func TestCanonicalKeyCounters(t *testing.T) {
 	ft := NewFlowTable()
 	ft.Install(ruleOut(5, MatchAll(), 1))
-	before := ft.CanonicalKey(true)
-	noCounters := ft.CanonicalKey(false)
+	before, beforeHash := ft.RenderCanonicalKey(true), ft.KeyHash64(true, true)
+	noCounters, noCountersHash := ft.RenderCanonicalKey(false), ft.KeyHash64(true, false)
 	idx, _ := ft.Lookup(hdrAB(), 1)
 	ft.Hit(idx)
-	if ft.CanonicalKey(true) == before {
+	if ft.RenderCanonicalKey(true) == before {
 		t.Error("counter-inclusive key ignores counters")
 	}
-	if ft.CanonicalKey(false) != noCounters {
+	if ft.RenderCanonicalKey(false) != noCounters {
 		t.Error("counter-free key changed with counters")
+	}
+	if ft.KeyHash64(true, false) != noCountersHash {
+		t.Error("counter-free hash changed with counters")
+	}
+	// Hit must drop a cached counter-inclusive hash; the counter-free
+	// lookup above replaced it, so cache it again before the next hit.
+	afterHash := ft.KeyHash64(true, true)
+	if afterHash == beforeHash {
+		t.Error("counter-inclusive hash ignores counters")
+	}
+	ft.Hit(idx)
+	if ft.KeyHash64(true, true) == afterHash {
+		t.Error("Hit left a stale counter-inclusive hash cached")
 	}
 }

@@ -2,13 +2,12 @@ package openflow
 
 import "strconv"
 
-// This file holds the hand-written canonical encoders for the hot state
-// types. State hashing renders every switch queue, flow table and
-// buffered packet once per explored state; the fmt-based renderings these
-// replace dominated the checker's profile. Each encoder appends to a
-// caller-supplied byte slice and produces output byte-identical to the
-// historical fmt formatting (the fuzz tests in keys_fuzz_test.go hold the
-// encoders to the reflective rendering).
+// This file holds the hand-written canonical encoders for the state
+// types: the renderings the oracle fingerprint hashes and the structured
+// hashes of hash.go mirror. Each encoder appends to a caller-supplied
+// byte slice and produces output byte-identical to the historical fmt
+// formatting (the fuzz tests in keys_fuzz_test.go hold the encoders to
+// the reflective rendering).
 
 const hexdigits = "0123456789abcdef"
 

@@ -152,10 +152,6 @@ type Msg struct {
 	// search strategy uses it to construct reverse-issue-order
 	// deliveries (§4).
 	Seq int
-
-	// cachedKey memoizes Key() for enqueued (immutable) messages; see
-	// MemoKey. It is excluded from the rendering itself.
-	cachedKey string
 }
 
 // Clone deep-copies the message.
@@ -204,21 +200,8 @@ func (m Msg) String() string {
 }
 
 // Key renders the message canonically for state hashing. Unlike String,
-// packet headers render losslessly. Enqueued messages carry a memoized
-// key (MemoKey): the channel renderings re-run on every queue mutation,
-// so rendering each immutable message once matters.
+// packet headers render losslessly. KeyHash64 hashes the same fields.
 func (m Msg) Key() string {
-	if m.cachedKey != "" {
-		return m.cachedKey
-	}
 	var buf [256]byte
 	return string(m.appendKey(buf[:0]))
-}
-
-// MemoKey returns a copy of m with Key() precomputed. The controller
-// runtime calls it as messages are enqueued; the message must not be
-// mutated afterwards (enqueued messages never are).
-func (m Msg) MemoKey() Msg {
-	m.cachedKey = m.Key()
-	return m
 }

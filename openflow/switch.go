@@ -23,9 +23,6 @@ func (a *IDAlloc) Next() PacketID { a.next++; return a.next - 1 }
 // Clone copies the allocator.
 func (a *IDAlloc) Clone() *IDAlloc { c := *a; return &c }
 
-// Key renders the allocator state for hashing.
-func (a *IDAlloc) Key() string { return fmt.Sprintf("%d", a.next) }
-
 // BufEntry is a packet parked in the switch buffer awaiting a controller
 // decision. The NoForgottenPackets property (§5.2) checks these are all
 // released by the end of an execution.
@@ -98,10 +95,10 @@ type Switch struct {
 	// flips it directly must call MarkDirty afterwards.
 	Alive bool
 
-	// key is the incremental-fingerprinting cache: the canonical state
-	// key and its 64-bit hash, valid until the next mutation. Clone and
-	// Fork copy it (a fork starts in an identical state), so unchanged
-	// switches are never re-rendered as the search forks.
+	// key is the incremental-fingerprinting cache: the structured
+	// state hash, valid until the next mutation. Clone and Fork copy it
+	// (a fork starts in an identical state), so unchanged switches are
+	// never re-hashed as the search forks.
 	key switchKeyCache
 
 	// Tag is the copy-on-write ownership marker (internal/cow): the
@@ -118,9 +115,8 @@ type Switch struct {
 	borrowIn, borrowUp bool
 }
 
-// switchKeyCache caches one rendered StateKey with its parameters.
+// switchKeyCache caches one state hash with its parameters.
 type switchKeyCache struct {
-	str       string
 	hash      uint64
 	valid     bool
 	canonical bool
@@ -142,7 +138,7 @@ func NewSwitch(id SwitchID, ports []PortID) *Switch {
 	}
 }
 
-// MarkDirty invalidates the cached state key. Every mutating method
+// MarkDirty invalidates the cached state hash. Every mutating method
 // calls it; callers that mutate exported fields (Alive, Table) directly
 // must call it themselves.
 func (s *Switch) MarkDirty() { s.key.valid = false }
@@ -349,8 +345,9 @@ func (s *Switch) ProcessPackets(alloc *IDAlloc) ProcResult {
 }
 
 // ProcessPacketOnPort dequeues and processes the head packet of a single
-// port's channel. The fine-grained baseline checker (DESIGN.md §2(3))
-// uses this instead of the batched ProcessPackets.
+// port's channel. The fine-grained baseline checker
+// (core.Config.MicroSteps) uses this instead of the batched
+// ProcessPackets.
 func (s *Switch) ProcessPacketOnPort(p PortID, alloc *IDAlloc) (ProcResult, bool) {
 	if len(s.in[p]) == 0 {
 		return ProcResult{}, false
@@ -544,63 +541,71 @@ func (s *Switch) portStats(port PortID) []PortStats {
 }
 
 // ExpireTimers advances the flow-table timeout clock by one tick
-// (optional environment transition; see DESIGN.md §2(6)).
+// (the optional environment transition core.Config.EnableTimers adds).
 func (s *Switch) ExpireTimers() []Rule {
 	s.MarkDirty()
 	return s.Table.Tick()
 }
 
-// StateKey renders the switch state canonically for hashing. canonical
-// selects the reduced flow-table representation; includeCounters folds
-// rule counters into the key (off by default — see core.Config). The
-// rendering is cached and reused until the next mutation; RenderStateKey
-// bypasses the cache.
-func (s *Switch) StateKey(canonical, includeCounters bool) string {
-	if s.key.valid && s.key.canonical == canonical && s.key.counters == includeCounters {
-		return s.key.str
-	}
-	str := s.renderStateKey(canonical, includeCounters, false)
-	s.key = switchKeyCache{
-		str: str, hash: canon.Hash64String(str),
-		valid: true, canonical: canonical, counters: includeCounters,
-	}
-	return str
-}
-
-// KeyHash64 returns the cached 64-bit hash of StateKey — the component
-// hash System.Fingerprint combines.
+// KeyHash64 is the structured hash of RenderStateKey, the component
+// hash System.Fingerprint combines. canonical selects the reduced
+// flow-table representation; includeCounters folds rule counters in
+// (off by default — see core.Config). It folds the switch ID, Alive,
+// the up ports, the flow table's own cached hash, each non-empty
+// ingress queue in port order and the buffered (header, in-port)
+// pairs. The hash is cached until the next mutation.
 func (s *Switch) KeyHash64(canonical, includeCounters bool) uint64 {
-	s.StateKey(canonical, includeCounters)
-	return s.key.hash
+	if s.key.valid && s.key.canonical == canonical && s.key.counters == includeCounters {
+		return s.key.hash
+	}
+	h := s.hashState(s.Table.KeyHash64(canonical, includeCounters))
+	s.key = switchKeyCache{hash: h, valid: true, canonical: canonical, counters: includeCounters}
+	return h
 }
 
-// RenderStateKey rebuilds the canonical state key from scratch,
-// ignoring the switch-level and table-level caches — the
-// reflective-oracle path differential tests compare the incremental
-// fingerprint against.
+// FreshKeyHash64 recomputes KeyHash64 from scratch, ignoring the switch
+// and flow-table caches; core.System.VerifyCaches compares the two.
+func (s *Switch) FreshKeyHash64(canonical, includeCounters bool) uint64 {
+	return s.hashState(s.Table.FreshKeyHash64(canonical, includeCounters))
+}
+
+// hashState folds the fields RenderStateKey renders around the given
+// table hash. The up ports and the queues are folded into their own
+// accumulators first, because their counts are not known up front.
+func (s *Switch) hashState(table uint64) uint64 {
+	x := mix(canon.WordSeed, s.ID)
+	up, nUp := canon.WordSeed, 0
+	in, nIn := canon.WordSeed, 0
+	for _, p := range s.Ports {
+		if s.up[p] {
+			up = mix(up, p)
+			nUp++
+		}
+		if q := s.in[p]; len(q) > 0 {
+			in = mix(mix(in, p), len(q))
+			for i := range q {
+				in = q[i].Header.mixKey(in)
+			}
+			nIn++
+		}
+	}
+	x = canon.Mix(x, b2u(s.Alive)|uint64(nUp)<<1)
+	x = canon.Mix(x, up)
+	x = canon.Mix(x, table)
+	x = canon.Mix(mix(x, nIn), in)
+	// Buffer IDs stay out, as in RenderStateKey.
+	x = mix(x, len(s.buffer))
+	for i := range s.buffer {
+		x = mix(s.buffer[i].Pkt.Header.mixKey(x), s.buffer[i].InPort)
+	}
+	return canon.Finish(x)
+}
+
+// RenderStateKey renders the switch state canonically from scratch —
+// the reference KeyHash64 hashes, and the rendering the oracle
+// fingerprint (core.Config.OracleHash) hashes instead.
 func (s *Switch) RenderStateKey(canonical, includeCounters bool) string {
-	return s.renderStateKey(canonical, includeCounters, true)
-}
-
-// renderStateKey builds the canonical state key; fresh selects the
-// oracle path, which also bypasses the flow table's key cache (the
-// cached-fill path reuses it, so queue-only mutations skip re-rendering
-// every rule).
-func (s *Switch) renderStateKey(canonical, includeCounters, fresh bool) string {
-	// Size the buffer from the queue/buffer populations: switch keys
-	// re-render on every mutation, so repeated growslice copies here
-	// were a top allocation site.
-	size := 96
-	for _, q := range s.in {
-		size += 8 + 48*len(q)
-	}
-	size += 52 * len(s.buffer)
-	if !fresh && canonical {
-		size += len(s.Table.CanonicalKey(includeCounters))
-	} else {
-		size += 72 * s.Table.Len()
-	}
-	b := make([]byte, 0, size)
+	b := make([]byte, 0, 96+48*s.TotalQueued()+52*len(s.buffer)+72*s.Table.Len())
 	b = append(b, "sw"...)
 	b = appendInt(b, int(s.ID))
 	b = append(b, " alive="...)
@@ -613,15 +618,10 @@ func (s *Switch) renderStateKey(canonical, includeCounters, fresh bool) string {
 		}
 	}
 	b = append(b, "] table["...)
-	switch {
-	case canonical && fresh:
+	if canonical {
 		b = append(b, s.Table.RenderCanonicalKey(includeCounters)...)
-	case canonical:
-		b = append(b, s.Table.CanonicalKey(includeCounters)...)
-	case fresh:
+	} else {
 		b = append(b, s.Table.RenderInsertionOrderKey(includeCounters)...)
-	default:
-		b = append(b, s.Table.InsertionOrderKey(includeCounters)...)
 	}
 	b = append(b, "] in["...)
 	for _, p := range s.Ports {

@@ -284,14 +284,20 @@ func TestStateKeyModes(t *testing.T) {
 	}
 	a := build([]int{0, 1})
 	b := build([]int{1, 0})
-	if a.StateKey(true, false) != b.StateKey(true, false) {
+	if a.RenderStateKey(true, false) != b.RenderStateKey(true, false) {
 		t.Error("canonical keys differ for equivalent tables")
 	}
-	if a.StateKey(false, false) == b.StateKey(false, false) {
+	if a.KeyHash64(true, false) != b.KeyHash64(true, false) {
+		t.Error("canonical hashes differ for equivalent tables")
+	}
+	if a.RenderStateKey(false, false) == b.RenderStateKey(false, false) {
 		t.Error("insertion-order keys merged different arrival orders")
 	}
-	if !strings.Contains(a.StateKey(true, false), "up[1 2 3 ]") {
-		t.Errorf("port state missing from key: %s", a.StateKey(true, false))
+	if a.KeyHash64(false, false) == b.KeyHash64(false, false) {
+		t.Error("insertion-order hashes merged different arrival orders")
+	}
+	if !strings.Contains(a.RenderStateKey(true, false), "up[1 2 3 ]") {
+		t.Errorf("port state missing from key: %s", a.RenderStateKey(true, false))
 	}
 }
 

@@ -158,8 +158,8 @@ func Table2() []Scenario {
 // Table 2 reports NO-DELAY missing BUG-V, BUG-X and BUG-XI (race and
 // perceived-load bugs) and FLOW-IR missing BUG-VII. Our NO-DELAY
 // additionally misses BUG-IX: with every controller↔switch exchange
-// atomic, a packet can never outrun a rule install (see EXPERIMENTS.md
-// for the deviation discussion).
+// atomic, a packet can never outrun a rule install — a deviation from
+// the paper's table.
 var table2Misses = map[Bug]map[Strategy]bool{
 	BugV:   {NoDelay: true},
 	BugVII: {FlowIR: true},

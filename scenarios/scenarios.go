@@ -129,9 +129,9 @@ func PingPongSE(pings int) *core.Config {
 }
 
 // BaselineFine is the ping workload checked the way an off-the-shelf
-// model checker would see the system (DESIGN.md §2, substitution 3): one
-// packet per channel per transition instead of the batched process_pkt,
-// and raw, uncanonicalized switch state. It stands in for the paper's
+// model checker would see the system: one packet per channel per
+// transition instead of the batched process_pkt, and raw,
+// uncanonicalized switch state. It stands in for the paper's
 // SPIN/JPF comparison and loses to NICE-MC by the same shape.
 func BaselineFine(pings int) *core.Config {
 	cfg := PingPong(pings)
