@@ -145,7 +145,8 @@ func BenchmarkParallelSearch(b *testing.B) {
 			var last *core.Report
 			for i := 0; i < b.N; i++ {
 				cfg := scenarios.PyswitchBench(3)
-				last = search.New(cfg, search.Options{Workers: workers}).Run()
+				last = search.Parallel().Search(context.Background(), cfg,
+					core.EngineOptions{Workers: workers})
 			}
 			reportSearch(b, last)
 		})
@@ -162,10 +163,8 @@ func BenchmarkParallelSwarm(b *testing.B) {
 			var last *core.Report
 			for i := 0; i < b.N; i++ {
 				cfg := scenarios.PyswitchBench(3)
-				last = search.New(cfg, search.Options{
-					Strategy: search.Swarm, Workers: workers,
-					Seed: 1, Walks: 64, Steps: 80,
-				}).Run()
+				last = search.SwarmEngine().Search(context.Background(), cfg,
+					core.EngineOptions{Workers: workers, Seed: 1, Walks: 64, Steps: 80})
 			}
 			reportSearch(b, last)
 		})

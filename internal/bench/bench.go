@@ -188,7 +188,8 @@ func Run(opts Options) *Suite {
 	}))
 	s.Results = append(s.Results, bestOf(1,
 		fmt.Sprintf("pyswitch-scaled/par%d", opts.workers()), false, func() *core.Report {
-			return search.New(pyswitchBench(3), search.Options{Workers: opts.workers()}).Run()
+			return search.Parallel().Search(context.Background(), pyswitchBench(3),
+				core.EngineOptions{Workers: opts.workers()})
 		}))
 	// Observer-overhead probe: the same gated search driven through the
 	// engine API with a streaming observer attached. Not gated itself;

@@ -45,10 +45,8 @@ package concolic
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/core"
@@ -72,61 +70,13 @@ type loopEngine struct{}
 // Name implements core.Engine.
 func (loopEngine) Name() string { return "concolic" }
 
-// stopReasons indexes the loop's first-wins stop reason (0 = none).
-var stopReasons = [...]core.StopReason{
-	core.StopNone, core.StopViolation, core.StopMaxTransitions,
-	core.StopMaxStates, core.StopDeadline, core.StopCanceled,
-	core.StopSymBudget,
-}
-
-func reasonIndex(r core.StopReason) int32 {
-	for i, s := range stopReasons {
-		if s == r {
-			return int32(i)
-		}
-	}
-	return 0
-}
-
-// pathNode is one link of a replayable trace prefix, shared structurally
-// between sibling nodes (the parallel engine's representation).
-type pathNode struct {
-	t      core.Transition
-	parent *pathNode
-	depth  int
-}
-
-func (p *pathNode) trace() []core.Transition {
-	if p == nil {
-		return nil
-	}
-	out := make([]core.Transition, p.depth)
-	for n := p; n != nil; n = n.parent {
-		out[n.depth-1] = n.t
-	}
-	return out
-}
-
-func (p *pathNode) traceWith(t core.Transition) []core.Transition {
-	depth := 0
-	if p != nil {
-		depth = p.depth
-	}
-	out := make([]core.Transition, depth+1)
-	out[depth] = t
-	for n := p; n != nil; n = n.parent {
-		out[n.depth-1] = n.t
-	}
-	return out
-}
-
 // item is one unit of work on either worklist. A search item carries
 // only sys+path. A demand item additionally carries the discover
 // transition to apply; a proactive item carries the host whose packet
 // classes should be explored against sys's controller state.
 type item struct {
 	sys  *core.System
-	path *pathNode
+	path *core.PathNode
 
 	t         core.Transition // demand discover transition
 	demand    bool
@@ -134,66 +84,34 @@ type item struct {
 	proactive bool
 }
 
-func (it item) depth() int {
-	if it.path == nil {
-		return 0
-	}
-	return it.path.depth
-}
-
 // loopState is the shared state of one Search call.
 type loopState struct {
 	cfg *core.Config
 	cc  *core.Caches
+	k   *core.Kernel
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	searchQ []item // LIFO: owners keep expanding deep states
 	symQ    []item // demand targets at the front, proactive behind
 	pending int    // queued + in-flight items
-	stopped bool
-	stop    atomic.Bool // lock-free mirror of stopped for hot-path checks
 
 	seen     map[canon.Digest]bool
 	seenApps map[canon.Digest]bool
-	seenViol map[string]bool
-	viols    []core.Violation
 
-	reason atomic.Int32 // index into stopReasons, first writer wins
+	frontier atomic.Int64 // mirror of pending for lock-free snapshots
+	feedback atomic.Int64
 
-	transitions atomic.Int64
-	unique      atomic.Int64
-	revisits    atomic.Int64
-	truncated   atomic.Int64
-	maxDepth    atomic.Int64
-	frontier    atomic.Int64 // mirror of pending for lock-free snapshots
-	feedback    atomic.Int64
-
-	maxTrans  int64
-	maxStates int64
 	symBudget int64
 	seStart   int64
-
-	obs      core.Observer
-	tel      *core.SearchTelemetry
-	fbRounds *telemetry.Counter // sym scope's feedback_rounds
-	heap     core.HeapPeak      // sampled only from the snapshot goroutine
+	fbRounds  *telemetry.Counter // sym scope's feedback_rounds
 }
 
-// abort records the stop reason (first one wins) and wakes every
-// worker. Unlike the budget reasons, a first-violation stop leaves the
-// report complete — the search did its job.
-func (st *loopState) abort(r core.StopReason) {
-	st.reason.CompareAndSwap(0, reasonIndex(r))
-	st.stop.Store(true)
+// wake rouses every waiting worker once the kernel stops the search.
+func (st *loopState) wake() {
 	st.mu.Lock()
-	st.stopped = true
 	st.cond.Broadcast()
 	st.mu.Unlock()
-}
-
-func (st *loopState) stopReason() core.StopReason {
-	return stopReasons[st.reason.Load()]
 }
 
 // enqueueSearch pushes a state-space node.
@@ -229,7 +147,7 @@ func (st *loopState) take(solver bool) (item, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for {
-		if st.stopped {
+		if st.k.Stopped() {
 			return item{}, false
 		}
 		if solver && len(st.symQ) > 0 {
@@ -261,28 +179,6 @@ func (st *loopState) done() {
 	st.mu.Unlock()
 }
 
-// record registers a violation (deduplicated by property + error, like
-// every engine) and honors StopAtFirstViolation.
-func (st *loopState) record(v core.Violation) {
-	key := v.Property + "|" + v.Err.Error()
-	st.mu.Lock()
-	fresh := !st.seenViol[key]
-	if fresh {
-		st.seenViol[key] = true
-		st.viols = append(st.viols, v)
-	}
-	st.mu.Unlock()
-	if fresh {
-		st.tel.Violation(v.Property)
-		if st.obs != nil {
-			st.obs.OnViolation(v)
-		}
-	}
-	if st.cfg.StopAtFirstViolation {
-		st.abort(core.StopViolation)
-	}
-}
-
 // symAllowed reports whether the discover budget still has room. The
 // check-then-run window means concurrent solver workers can overshoot
 // by at most the pool size — the same slack the parallel engine's
@@ -291,27 +187,10 @@ func (st *loopState) symAllowed() bool {
 	return st.symBudget <= 0 || st.cc.SERuns()-st.seStart < st.symBudget
 }
 
-// reserveTransition claims one transition-budget slot, aborting with
-// StopMaxTransitions when the bound is exhausted (exact even under
-// racing workers: the slot is reserved before the apply and rolled
-// back on overshoot).
-func (st *loopState) reserveTransition() bool {
-	if n := st.transitions.Add(1); st.maxTrans > 0 && n > st.maxTrans {
-		st.transitions.Add(-1)
-		st.abort(core.StopMaxTransitions)
-		return false
-	}
-	return true
-}
-
 // admit pushes a freshly applied child into the search frontier if its
 // state is new, releasing it otherwise. Violating children are pruned
 // (recorded by the caller), matching every engine's semantics.
-func (st *loopState) admit(child *core.System, parent *pathNode, t core.Transition) {
-	depth := 1
-	if parent != nil {
-		depth = parent.depth + 1
-	}
+func (st *loopState) admit(child *core.System, parent *core.PathNode, t core.Transition) {
 	h := child.Fingerprint()
 	st.mu.Lock()
 	fresh := !st.seen[h]
@@ -320,102 +199,39 @@ func (st *loopState) admit(child *core.System, parent *pathNode, t core.Transiti
 	}
 	st.mu.Unlock()
 	if !fresh {
-		st.revisits.Add(1)
+		st.k.Revisit()
 		child.Release()
 		return
 	}
-	if n := st.unique.Add(1); st.maxStates > 0 && n >= st.maxStates {
-		st.abort(core.StopMaxStates)
-	}
-	st.tel.ObserveDepth(depth)
-	maxInt64(&st.maxDepth, int64(depth))
-	st.enqueueSearch(item{sys: child, path: &pathNode{t: t, parent: parent, depth: depth}})
-}
-
-// maxInt64 lifts v into the atomic maximum.
-func maxInt64(m *atomic.Int64, v int64) {
-	for {
-		cur := m.Load()
-		if v <= cur || m.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	path := parent.Child(t)
+	st.k.AddState(path.Depth())
+	st.enqueueSearch(item{sys: child, path: path})
 }
 
 // Search implements core.Engine.
 func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *core.Report {
-	start := time.Now()
 	cc := eo.CacheSet()
 	st := &loopState{
 		cfg:       cfg,
 		cc:        cc,
 		seen:      make(map[canon.Digest]bool),
 		seenApps:  make(map[canon.Digest]bool),
-		seenViol:  make(map[string]bool),
-		maxTrans:  eo.EffectiveMaxTransitions(cfg),
-		maxStates: eo.MaxStates,
 		symBudget: eo.SymBudget,
 		seStart:   cc.SERuns(),
-		obs:       eo.Observer,
-		tel:       core.NewSearchTelemetry(eo.Telemetry, "concolic"),
 	}
 	st.cond = sync.NewCond(&st.mu)
-	cc.AttachTelemetry(eo.Telemetry)
 	if eo.Telemetry != nil {
 		st.fbRounds = eo.Telemetry.Scope("sym").Counter("feedback_rounds")
 	}
+	st.k = core.StartKernel(ctx, "concolic", cfg, cc, eo,
+		core.KernelHooks{Frontier: st.frontier.Load, OnStop: st.wake})
 
-	searchWorkers := eo.Workers
-	if searchWorkers <= 0 {
-		searchWorkers = runtime.NumCPU()
-	}
-	solverWorkers := eo.SolverPool()
+	searchWorkers, solverWorkers := eo.WorkerCount(), eo.SolverPool()
 
-	root := core.NewSystemWith(cfg, cc)
-	root.SetTelemetry(core.NewSystemTelemetry(eo.Telemetry))
-	st.mu.Lock()
+	root := st.k.Root()
 	st.seen[root.Fingerprint()] = true
-	st.mu.Unlock()
-	st.unique.Add(1)
+	st.k.AddState(0)
 	st.enqueueSearch(item{sys: root})
-
-	// Context watcher: aborts on cancellation/deadline, stopped once the
-	// pools drain. A pre-canceled context never starts exploring.
-	unwatch := func() {}
-	if ctx.Done() != nil {
-		select {
-		case <-ctx.Done():
-			st.abort(core.ContextStopReason(ctx))
-		default:
-			watchDone := make(chan struct{})
-			go func() {
-				select {
-				case <-ctx.Done():
-					st.abort(core.ContextStopReason(ctx))
-				case <-watchDone:
-				}
-			}()
-			unwatch = func() { close(watchDone) }
-		}
-	}
-
-	snap := func() core.Progress {
-		return core.Progress{
-			Strategy:      "concolic",
-			Elapsed:       time.Since(start),
-			Transitions:   st.transitions.Load(),
-			UniqueStates:  st.unique.Load(),
-			Revisits:      st.revisits.Load(),
-			Truncated:     st.truncated.Load(),
-			SERuns:        cc.SERuns(),
-			Frontier:      st.frontier.Load(),
-			Depth:         int(st.maxDepth.Load()),
-			PeakHeapInUse: st.heap.Sample(),
-			CacheHitRate:  cc.HitRate(),
-		}.Rated()
-	}
-	st.tel.SearchStart()
-	stopProgress := startProgress(eo, st.tel, snap)
 
 	var wg sync.WaitGroup
 	for w := 0; w < searchWorkers; w++ {
@@ -448,72 +264,9 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 		}()
 	}
 	wg.Wait()
-	unwatch()
-	// A cancellation racing the drain still wins over "complete" (the
-	// first recorded reason is kept otherwise).
-	if ctx.Err() != nil {
-		st.abort(core.ContextStopReason(ctx))
-	}
-
-	reason := st.stopReason()
-	report := &core.Report{
-		Transitions:    st.transitions.Load(),
-		UniqueStates:   st.unique.Load(),
-		Revisits:       st.revisits.Load(),
-		Truncated:      st.truncated.Load(),
-		SERuns:         cc.SERuns(),
-		PacketClasses:  cc.Classes(),
-		FeedbackRounds: st.feedback.Load(),
-		Violations:     st.viols,
-		Elapsed:        time.Since(start),
-		Complete:       !reason.Partial(),
-		Strategy:       "concolic",
-		StopReason:     reason,
-	}
-	stopProgress()
-	if reason.Partial() {
-		st.tel.Budget(reason, report.Transitions)
-	}
-	st.tel.SearchStop(reason, report)
+	report := st.k.Finish()
+	report.FeedbackRounds = st.feedback.Load()
 	return report
-}
-
-// startProgress mirrors the parallel engine's single-ticker streaming:
-// the returned func joins the goroutine and emits the Final snapshot
-// last.
-func startProgress(eo core.EngineOptions, tel *core.SearchTelemetry,
-	snap func() core.Progress) func() {
-	if eo.Observer == nil && tel == nil {
-		return func() {}
-	}
-	emit := func(final bool) {
-		p := snap()
-		p.Final = final
-		tel.SyncProgress(p)
-		if eo.Observer != nil {
-			eo.Observer.OnProgress(p)
-		}
-	}
-	done := make(chan struct{})
-	idle := make(chan struct{})
-	go func() {
-		defer close(idle)
-		ticker := time.NewTicker(eo.ProgressInterval())
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				emit(false)
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-idle
-		emit(true)
-	}
 }
 
 // expand processes one state-space node: quiescence properties on dead
@@ -529,20 +282,18 @@ func (st *loopState) expand(it item) {
 	enabled := it.sys.EnabledInto(nil)
 	if len(enabled) == 0 {
 		for _, f := range it.sys.CheckQuiescence() {
-			st.record(core.Violation{Property: f.Property, Err: f.Err,
-				Trace: it.path.trace(), Quiescence: true})
+			st.k.Record(f, it.path, nil, true)
 		}
 		return
 	}
-	depth := it.depth()
-	if depth >= st.cfg.DepthBound() {
-		st.truncated.Add(1)
+	if it.path.Depth() >= st.cfg.DepthBound() {
+		st.k.Truncate()
 		return
 	}
 
 	var events []core.Event
 	for _, t := range enabled {
-		if st.stop.Load() {
+		if st.k.Stopped() {
 			return
 		}
 		if t.Kind == core.THostDiscover || t.Kind == core.TCtrlDiscoverStats {
@@ -553,15 +304,14 @@ func (st *loopState) expand(it item) {
 			st.enqueueSym(item{sys: it.sys.Clone(), path: it.path, t: t, demand: true})
 			continue
 		}
-		if !st.reserveTransition() {
+		if !st.k.ReserveTransition() {
 			return
 		}
 		child := it.sys.Clone()
 		events = child.ApplyInto(t, events)
 		violated := false
 		for _, f := range child.CheckEvents(events) {
-			st.record(core.Violation{Property: f.Property, Err: f.Err,
-				Trace: it.path.traceWith(t)})
+			st.k.Record(f, it.path, []core.Transition{t}, false)
 			violated = true
 		}
 		if violated {
@@ -609,7 +359,7 @@ func (st *loopState) feedbackTargets(it item) {
 // solve processes one symbolic target on a solver worker.
 func (st *loopState) solve(it item) {
 	defer it.sys.Release()
-	if st.stop.Load() {
+	if st.k.Stopped() {
 		return
 	}
 	if it.proactive {
@@ -622,17 +372,16 @@ func (st *loopState) solve(it item) {
 	// worker got there first) — then applying is free; otherwise the
 	// budget must cover a fresh discover run.
 	if !st.symAllowed() && !discoverCached(it.sys, it.t) {
-		st.abort(core.StopSymBudget)
+		st.k.Abort(core.StopSymBudget)
 		return
 	}
-	if !st.reserveTransition() {
+	if !st.k.ReserveTransition() {
 		return
 	}
 	events := it.sys.ApplyInto(it.t, nil)
 	violated := false
 	for _, f := range it.sys.CheckEvents(events) {
-		st.record(core.Violation{Property: f.Property, Err: f.Err,
-			Trace: it.path.traceWith(it.t)})
+		st.k.Record(f, it.path, []core.Transition{it.t}, false)
 		violated = true
 	}
 	if violated {

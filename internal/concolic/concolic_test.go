@@ -2,6 +2,7 @@ package concolic_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"github.com/nice-go/nice/internal/concolic"
@@ -170,5 +171,29 @@ func TestConcolicTelemetry(t *testing.T) {
 	if counters["sym.classes"] != loop.PacketClasses {
 		t.Errorf("classes counter %d != report %d",
 			counters["sym.classes"], loop.PacketClasses)
+	}
+}
+
+// TestConcolicDeterministicKeys: a full concolic search reports the
+// same violation keys in the same sorted order on every run, whatever
+// order its workers found them in.
+func TestConcolicDeterministicKeys(t *testing.T) {
+	keys := func() string {
+		r := concolic.Loop().Search(context.Background(), scenarioConfig("loadbalancer-bench"),
+			core.EngineOptions{Workers: 2, SymWorkers: 2})
+		var out []string
+		for i, v := range r.Violations {
+			if i > 0 {
+				p := r.Violations[i-1]
+				if p.Property > v.Property || p.Property == v.Property && p.Err.Error() >= v.Err.Error() {
+					t.Errorf("violations %d and %d out of order", i-1, i)
+				}
+			}
+			out = append(out, v.Property+"|"+v.Err.Error())
+		}
+		return strings.Join(out, "\n")
+	}
+	if first, second := keys(), keys(); first != second {
+		t.Errorf("two runs reported different keys:\n%s\n--\n%s", first, second)
 	}
 }

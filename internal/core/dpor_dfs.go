@@ -239,14 +239,14 @@ func (c *Checker) globalSummary() dporSummary {
 // sleep set) and returns the subtree summary for race detection in the
 // caller's ancestors.
 func (c *Checker) dporVisit(sys *System, sleep []sleepEntry) dporSummary {
-	if c.stopped {
+	if c.k.Stopped() {
 		return c.globalSummary()
 	}
 	h := sys.Fingerprint()
 	depth := len(c.trace)
 
 	if node, ok := c.dporExplored[h]; ok {
-		c.report.Revisits++
+		c.k.Revisit()
 		if node.inProgress {
 			// A cycle back onto the current path: the subtree below is
 			// this very exploration, summary unknown — go conservative.
@@ -281,8 +281,7 @@ func (c *Checker) dporVisit(sys *System, sleep []sleepEntry) dporSummary {
 
 	node := &dporNode{inProgress: true, sleep: sleepKeys(sleep)}
 	c.dporExplored[h] = node
-	c.report.UniqueStates++
-	c.tel.ObserveDepth(depth)
+	c.k.AddState(depth)
 
 	finish := func(sum dporSummary) dporSummary {
 		node.sum = sum
@@ -296,16 +295,15 @@ func (c *Checker) dporVisit(sys *System, sleep []sleepEntry) dporSummary {
 	c.transBufs[depth] = probe[:0]
 	if len(probe) == 0 {
 		for _, f := range sys.CheckQuiescence() {
-			c.recordViolation(Violation{Property: f.Property, Err: f.Err,
-				Trace: cloneTrace(c.trace), Quiescence: true})
-			if c.stopped {
+			c.k.Record(f, nil, c.trace, true)
+			if c.k.Stopped() {
 				return finish(c.globalSummary())
 			}
 		}
 		return finish(dporSummary{})
 	}
 	if depth >= c.cfg.maxDepth() {
-		c.report.Truncated++
+		c.k.Truncate()
 		// The whole subtree is hidden behind the bound.
 		return finish(c.globalSummary())
 	}
@@ -388,7 +386,7 @@ func (c *Checker) dporExpand(sys *System, depth int, sleep []sleepEntry, only []
 	}
 
 	for {
-		if c.aborted() {
+		if c.k.Stopped() {
 			return c.globalSummary()
 		}
 		i := nextIndex(&f.backtrack, &f.done)
@@ -423,17 +421,17 @@ func (c *Checker) dporExpand(sys *System, depth int, sleep []sleepEntry, only []
 		// t (dependent and not merely its causal ancestor).
 		c.dporRaceInsert(key, fp, footprint{}, true)
 
+		if !c.k.ReserveTransition() {
+			return c.globalSummary()
+		}
 		child := sys.Clone()
 		events := child.ApplyInto(t, c.eventBuf)
 		c.eventBuf = events
-		c.report.Transitions++
 		c.trace = append(c.trace, t)
-		c.meter.maybe(func() Progress { return c.progress(len(c.trace)) })
 
 		violated := false
 		for _, fail := range child.CheckEvents(events) {
-			c.recordViolation(Violation{Property: fail.Property, Err: fail.Err,
-				Trace: cloneTrace(c.trace)})
+			c.k.Record(fail, nil, c.trace, false)
 			violated = true
 		}
 		sum.add(sumEntry{key: key, fp: fp, ancExact: true})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"github.com/nice-go/nice/internal/canon"
@@ -56,7 +57,8 @@ func ContextStopReason(ctx context.Context) StopReason {
 // Progress is one periodic snapshot of a running search, delivered to
 // an Observer while the engine works.
 type Progress struct {
-	// Strategy names the engine ("dfs", "parallel", "walks", "swarm").
+	// Strategy names the engine ("dfs", "parallel", "walks", "swarm",
+	// "concolic").
 	Strategy string
 	// Elapsed is wall-clock time since the search started.
 	Elapsed time.Duration
@@ -68,11 +70,10 @@ type Progress struct {
 	Truncated    int64
 	SERuns       int64
 	// Frontier is the number of discovered-but-unexpanded states
-	// (parallel engine). The sequential DFS reports its recursion
-	// depth here; walk engines report 0.
+	// (parallel and concolic engines; the others report 0).
 	Frontier int64
-	// Depth is the trace length being explored when the snapshot was
-	// taken (parallel: the deepest state pushed so far).
+	// Depth is the deepest trace at which a unique state was reached
+	// so far.
 	Depth int
 	// StatesPerSec is UniqueStates/Elapsed.
 	StatesPerSec float64
@@ -89,12 +90,13 @@ type Progress struct {
 	Final bool
 }
 
-// Observer receives streaming search results: each violation as it is
-// found (already deduplicated by property + error) and periodic
-// Progress snapshots. Parallel engines call OnViolation from worker
-// goroutines and OnProgress from a ticker goroutine, so implementations
-// must be safe for concurrent use; callbacks should return promptly —
-// the hot path does not buffer.
+// Observer receives streaming search results: each violation the first
+// time its property + error is found (with the trace found first; the
+// Report keeps the shortest) and periodic Progress snapshots. Every
+// engine calls OnProgress from a ticker goroutine, and parallel engines
+// call OnViolation from worker goroutines, so implementations must be
+// safe for concurrent use; callbacks should return promptly — the hot
+// path does not buffer.
 type Observer interface {
 	OnViolation(v Violation)
 	OnProgress(p Progress)
@@ -184,6 +186,14 @@ func (o EngineOptions) ProgressInterval() time.Duration {
 	return o.ProgressEvery
 }
 
+// WorkerCount is the effective worker-pool size of parallel engines.
+func (o EngineOptions) WorkerCount() int {
+	if o.Workers <= 0 {
+		return runtime.NumCPU()
+	}
+	return o.Workers
+}
+
 // WalkCount is the effective number of walks.
 func (o EngineOptions) WalkCount() int {
 	if o.Walks <= 0 {
@@ -220,14 +230,16 @@ func (o EngineOptions) CacheSet() *Caches {
 
 // Engine is a pluggable search strategy: one way of exploring a
 // Config's transition graph. The sequential DFS checker, the parallel
-// work-stealing engine, the legacy random-walk mode and the seeded
-// swarm all implement it, so every front end — CLI, benchmarks, tests,
-// servers — drives searches through the same entry point (nice.Run).
+// work-stealing engine, the sequential random walks, the seeded swarm
+// and the concolic loop all implement it, so every front end — CLI,
+// benchmarks, tests, servers — drives searches through the same entry
+// point (nice.Run).
 //
-// Engines honor context cancellation and the EngineOptions budgets, and
-// always return a partial-but-replayable Report on abort: every
-// violation trace recorded so far still reproduces deterministically
-// from the initial state.
+// Each engine runs its search on a Kernel, which honors context
+// cancellation and the EngineOptions budgets and always returns a
+// partial-but-replayable Report on abort: every violation trace
+// recorded so far still reproduces deterministically from the initial
+// state.
 type Engine interface {
 	// Name is the engine's stable identifier, recorded in
 	// Report.Strategy and Progress.Strategy.
@@ -249,9 +261,9 @@ func (dfsEngine) Search(ctx context.Context, cfg *Config, opts EngineOptions) *R
 	return NewCheckerWith(cfg, opts.CacheSet()).RunContext(ctx, opts)
 }
 
-// Walks returns the legacy random-walk engine (§1.3's "random walks on
-// system states"): sequential seeded walks drawn from one rand stream,
-// exactly the semantics of the original RandomWalk entry point.
+// Walks returns the sequential random-walk engine (§1.3's "random walks
+// on system states"): EngineOptions.Walks walks of at most Steps
+// transitions, all drawn from one rand stream seeded with Seed.
 func Walks() Engine { return walkEngine{} }
 
 type walkEngine struct{}
@@ -260,208 +272,56 @@ func (walkEngine) Name() string { return "walks" }
 
 func (walkEngine) Search(ctx context.Context, cfg *Config, opts EngineOptions) *Report {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	cc := opts.CacheSet()
-	start := time.Now()
-	report := &Report{Complete: true, Strategy: "walks"}
+	k := StartKernel(ctx, "walks", cfg, opts.CacheSet(), opts, KernelHooks{})
 	seen := make(map[canon.Digest]bool)
-	seenViol := make(map[string]bool)
-	maxTrans := opts.EffectiveMaxTransitions(cfg)
-
-	walks := opts.WalkCount()
-	steps := opts.StepBound()
-	tel := NewSearchTelemetry(opts.Telemetry, "walks")
-	cc.AttachTelemetry(opts.Telemetry)
-	sysTel := NewSystemTelemetry(opts.Telemetry)
-	meter := newProgressMeter(opts, start, tel, cc)
-
-	// stopped ends the whole walk set — the unified stop contract all
-	// four engines share (see Report.StopReason): a budget, the context,
-	// or StopAtFirstViolation stops every remaining walk, not just the
-	// current one, and records why.
-	stopped := false
-	record := func(v Violation) {
-		key := v.Property + "|" + v.Err.Error()
-		if !seenViol[key] {
-			seenViol[key] = true
-			report.Violations = append(report.Violations, v)
-			tel.Violation(v.Property)
-			if opts.Observer != nil {
-				opts.Observer.OnViolation(v)
-			}
+	firstVisit := func(h canon.Digest) bool {
+		if seen[h] {
+			return false
 		}
-		if cfg.StopAtFirstViolation {
-			if report.StopReason == StopNone {
-				report.StopReason = StopViolation
-			}
-			stopped = true // Complete stays true: the search did its job.
-		}
+		seen[h] = true
+		return true
 	}
-	abort := func(r StopReason) {
-		if report.StopReason == StopNone {
-			report.StopReason = r
-			tel.Budget(r, report.Transitions)
-		}
-		if r.Partial() {
-			report.Complete = false
-		}
-		stopped = true
+	// A stop ends the whole walk set, not just the current walk.
+	for w := 0; w < opts.WalkCount() && !k.Stopped(); w++ {
+		Walk(k, rng, opts.StepBound(), firstVisit)
 	}
+	return k.Finish()
+}
 
-	tel.SearchStart()
-walking:
-	for w := 0; w < walks; w++ {
-		if stopped {
-			break
+// Walk runs one random execution of at most steps transitions from the
+// initial state, drawing each transition from rng. It counts a state
+// when firstVisit reports its fingerprint new, and it ends at a
+// quiescent state, at a violating transition, or when the search
+// stops. The walks and swarm engines differ only in how they seed rng
+// and share firstVisit.
+func Walk(k *Kernel, rng *rand.Rand, steps int, firstVisit func(canon.Digest) bool) {
+	sys := k.Root()
+	var trace []Transition
+	var events []Event
+	for step := 0; step < steps && !k.Stopped(); step++ {
+		if firstVisit(sys.Fingerprint()) {
+			k.AddState(len(trace))
 		}
-		sys := newSystem(cfg, cc)
-		sys.SetTelemetry(sysTel)
-		var trace []Transition
-		for step := 0; step < steps; step++ {
-			if maxTrans > 0 && report.Transitions >= maxTrans {
-				abort(StopMaxTransitions)
-				break walking
+		enabled := sys.Enabled()
+		if len(enabled) == 0 {
+			for _, f := range sys.CheckQuiescence() {
+				k.Record(f, nil, trace, true)
 			}
-			if opts.MaxStates > 0 && report.UniqueStates >= opts.MaxStates {
-				abort(StopMaxStates)
-				break walking
-			}
-			select {
-			case <-ctx.Done():
-				abort(ContextStopReason(ctx))
-				break walking
-			default:
-			}
-			h := sys.Fingerprint()
-			if !seen[h] {
-				seen[h] = true
-				report.UniqueStates++
-				tel.ObserveDepth(len(trace))
-			}
-			enabled := sys.Enabled()
-			if len(enabled) == 0 {
-				for _, f := range sys.CheckQuiescence() {
-					record(Violation{Property: f.Property, Err: f.Err,
-						Trace: cloneTrace(trace), Quiescence: true})
-				}
-				break
-			}
-			t := enabled[rng.Intn(len(enabled))]
-			events := sys.Apply(t)
-			report.Transitions++
-			trace = append(trace, t)
-			violated := false
-			for _, f := range sys.CheckEvents(events) {
-				record(Violation{Property: f.Property, Err: f.Err, Trace: cloneTrace(trace)})
-				violated = true
-			}
-			if violated {
-				break
-			}
-			meter.maybe(func() Progress {
-				return walkProgress(report, cc, start, len(trace))
-			})
+			return
+		}
+		t := enabled[rng.Intn(len(enabled))]
+		if !k.ReserveTransition() {
+			return
+		}
+		events = sys.ApplyInto(t, events)
+		trace = append(trace, t)
+		violated := false
+		for _, f := range sys.CheckEvents(events) {
+			k.Record(f, nil, trace, false)
+			violated = true
+		}
+		if violated {
+			return
 		}
 	}
-	// A cancellation racing the last steps still wins over "complete";
-	// an earlier stop (first-violation, budgets) keeps its reason.
-	if !stopped && ctx.Err() != nil {
-		abort(ContextStopReason(ctx))
-	}
-	report.SERuns = cc.SERuns()
-	report.PacketClasses = cc.Classes()
-	report.Elapsed = time.Since(start)
-	// Final snapshot before SearchStop, so the trace stream ends on the
-	// search-stop event.
-	meter.final(walkProgress(report, cc, start, 0))
-	tel.SearchStop(report.StopReason, report)
-	return report
-}
-
-func walkProgress(r *Report, cc *Caches, start time.Time, depth int) Progress {
-	return snapshotProgress("walks", start, r.Transitions, r.UniqueStates,
-		0, 0, cc.SERuns(), 0, depth)
-}
-
-// Rated returns a copy of p with StatesPerSec derived from Elapsed and
-// UniqueStates — the one place the rate is computed, shared by every
-// engine's snapshot assembly.
-func (p Progress) Rated() Progress {
-	if secs := p.Elapsed.Seconds(); secs > 0 {
-		p.StatesPerSec = float64(p.UniqueStates) / secs
-	}
-	return p
-}
-
-// snapshotProgress assembles one Progress value from raw counters.
-func snapshotProgress(strategy string, start time.Time,
-	transitions, unique, revisits, truncated, seRuns, frontier int64, depth int) Progress {
-	return Progress{
-		Strategy: strategy, Elapsed: time.Since(start),
-		Transitions: transitions, UniqueStates: unique,
-		Revisits: revisits, Truncated: truncated, SERuns: seRuns,
-		Frontier: frontier, Depth: depth,
-	}.Rated()
-}
-
-// progressMeter rations progress snapshots on sequential hot paths:
-// maybe() is called once per transition but only consults the clock
-// every interval-check stride, and only emits when the interval has
-// elapsed. Emission feeds both the Observer and the telemetry registry;
-// with neither attached the meter compiles to two cheap branches.
-type progressMeter struct {
-	obs      Observer
-	tel      *SearchTelemetry
-	caches   *Caches
-	heap     HeapPeak
-	interval time.Duration
-	next     time.Time
-	calls    uint64
-}
-
-func newProgressMeter(opts EngineOptions, start time.Time,
-	tel *SearchTelemetry, cc *Caches) *progressMeter {
-	m := &progressMeter{obs: opts.Observer, tel: tel, caches: cc}
-	if m.active() {
-		m.interval = opts.ProgressInterval()
-		m.next = start.Add(m.interval)
-	}
-	return m
-}
-
-func (m *progressMeter) active() bool { return m.obs != nil || m.tel != nil }
-
-// emit enriches a snapshot with the sampled heap peak and discover-cache
-// hit rate, syncs it into the registry, and forwards it to the Observer.
-func (m *progressMeter) emit(p Progress, final bool) {
-	p.PeakHeapInUse = m.heap.Sample()
-	p.CacheHitRate = m.caches.HitRate()
-	p.Final = final
-	m.tel.SyncProgress(p)
-	if m.obs != nil {
-		m.obs.OnProgress(p)
-	}
-}
-
-// maybe emits a snapshot when the interval has elapsed; build is only
-// invoked when a snapshot is due.
-func (m *progressMeter) maybe(build func() Progress) {
-	if !m.active() {
-		return
-	}
-	m.calls++
-	if m.calls&63 != 0 { // consult the clock every 64 transitions
-		return
-	}
-	if now := time.Now(); now.After(m.next) {
-		m.next = now.Add(m.interval)
-		m.emit(build(), false)
-	}
-}
-
-// final emits the closing snapshot.
-func (m *progressMeter) final(p Progress) {
-	if !m.active() {
-		return
-	}
-	m.emit(p, true)
 }

@@ -17,7 +17,7 @@ var depthBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 // nil bundle — no registry attached — makes every method a single
 // branch, the disabled fast path the overhead benchmark gates.
 //
-// The engines already keep their own report counters on the hot path,
+// The search kernel already keeps the report counters on the hot path,
 // so the bundle is synced from them at progress-snapshot and stop time
 // (SyncProgress, SearchStop) instead of double-counting per transition;
 // only the signals no report counter carries — depth observations,
@@ -39,9 +39,9 @@ type SearchTelemetry struct {
 	depth        *telemetry.Histogram
 
 	// lastBatch is the transition count at the previous expand-batch
-	// trace event. Only the snapshot path touches it, and each engine
-	// snapshots from a single goroutine at a time (the sequential meter,
-	// or the parallel ticker joined before the final emit).
+	// trace event. Only the snapshot path touches it, and the kernel
+	// snapshots from a single goroutine at a time (its progress ticker,
+	// joined before the final emit).
 	lastBatch int64
 }
 
@@ -98,8 +98,8 @@ func (t *SearchTelemetry) SearchStop(reason StopReason, r *Report) {
 
 // SyncProgress stores a progress snapshot's counters into the registry
 // and emits a rationed expand-batch trace event carrying the transition
-// delta since the previous snapshot. Called from each engine's single
-// snapshot goroutine.
+// delta since the previous snapshot. Called from the kernel's single
+// progress goroutine.
 func (t *SearchTelemetry) SyncProgress(p Progress) {
 	if t == nil {
 		return
@@ -160,16 +160,16 @@ func (t *SearchTelemetry) SetShardOccupancy(max, mean int64) {
 	t.shardMean.Set(mean)
 }
 
-// HeapPeak tracks the peak in-use heap across progress samples. Sample
+// heapPeak tracks the peak in-use heap across progress samples. sample
 // reads runtime.MemStats (a stop-the-world-ish call), so it runs only
-// on the rationed snapshot path, never per transition. Each engine owns
-// one and samples it from its single snapshot goroutine.
-type HeapPeak struct {
+// on the rationed snapshot path, never per transition. Each kernel owns
+// one and samples it from its single progress goroutine.
+type heapPeak struct {
 	peak uint64
 }
 
-// Sample reads the current in-use heap and returns the running peak.
-func (h *HeapPeak) Sample() uint64 {
+// sample reads the current in-use heap and returns the running peak.
+func (h *heapPeak) sample() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	if ms.HeapInuse > h.peak {

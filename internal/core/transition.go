@@ -9,8 +9,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/openflow"
 	"github.com/nice-go/nice/topo"
 )
@@ -155,3 +157,21 @@ func (t Transition) Key() string {
 }
 
 func (t Transition) String() string { return t.Key() }
+
+// same reports whether t and u have equal descriptor fields, and so
+// equal keys, without rendering either.
+func (t Transition) same(u Transition) bool {
+	return t.Kind == u.Kind && t.Host == u.Host && t.Sw == u.Sw && t.Port == u.Port &&
+		t.Hdr == u.Hdr && t.MoveTo == u.MoveTo && t.Env == u.Env && slices.Equal(t.Stats, u.Stats)
+}
+
+// TraceFingerprint hashes a trace's canonical rendering (one key per
+// line) to a 64-bit identity.
+func TraceFingerprint(trace []Transition) uint64 {
+	var sb strings.Builder
+	for _, t := range trace {
+		sb.WriteString(t.Key())
+		sb.WriteByte('\n')
+	}
+	return canon.Hash64String(sb.String())
+}

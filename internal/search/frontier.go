@@ -10,13 +10,11 @@ import (
 )
 
 // item is one unit of frontier work: an unexpanded system state plus
-// the path that reached it, as a parent-pointer chain. Sibling children
-// share the whole prefix through one pointer — materializing a
-// replayable trace (Trace) happens only when a violation is recorded,
-// so the hot path never copies O(depth) transition prefixes.
+// the path that reached it, as a core.PathNode chain shared with its
+// siblings.
 type item struct {
 	sys  *core.System
-	path *pathNode
+	path *core.PathNode
 	// sleep is the DPOR sleep set the state was reached under (nil
 	// unless the search runs with EngineOptions.Reduction). wake, when
 	// non-nil, marks a re-expansion: only transitions with these
@@ -24,43 +22,6 @@ type item struct {
 	// state's previous expansion under a larger sleep set.
 	sleep []core.SleepEntry
 	wake  []uint64
-}
-
-// pathNode is one link of the reversed reach-path chain.
-type pathNode struct {
-	t      core.Transition
-	parent *pathNode
-	depth  int
-}
-
-// Depth is the trace length the node represents (nil = root, 0).
-func (n *pathNode) Depth() int {
-	if n == nil {
-		return 0
-	}
-	return n.depth
-}
-
-// Trace materializes the replayable transition sequence root→node.
-func (n *pathNode) Trace() []core.Transition {
-	if n == nil {
-		return nil
-	}
-	out := make([]core.Transition, n.depth)
-	for cur := n; cur != nil; cur = cur.parent {
-		out[cur.depth-1] = cur.t
-	}
-	return out
-}
-
-// traceWith materializes the node's trace extended by one transition.
-func (n *pathNode) traceWith(t core.Transition) []core.Transition {
-	out := make([]core.Transition, n.Depth()+1)
-	out[len(out)-1] = t
-	for cur := n; cur != nil; cur = cur.parent {
-		out[cur.depth-1] = cur.t
-	}
-	return out
 }
 
 // frontier is the work-stealing scheduler: one deque per worker. The
@@ -77,8 +38,8 @@ type frontier struct {
 	pending atomic.Int64
 	// steals counts successful head-steals — the load-imbalance signal
 	// telemetry surfaces as <engine>.steals.
-	steals atomic.Int64
-	stop   *atomic.Bool
+	steals  atomic.Int64
+	stopped func() bool
 }
 
 type deque struct {
@@ -91,8 +52,8 @@ type deque struct {
 	_ [24]byte
 }
 
-func newFrontier(workers int, stop *atomic.Bool) *frontier {
-	return &frontier{deques: make([]deque, workers), stop: stop}
+func newFrontier(workers int, stopped func() bool) *frontier {
+	return &frontier{deques: make([]deque, workers), stopped: stopped}
 }
 
 // push enqueues a work item on worker w's deque.
@@ -147,11 +108,11 @@ func (f *frontier) steal(w int) (item, bool) {
 
 // get returns the next item for worker w, stealing when its own deque
 // is dry. It returns false when the search is over: every item expanded
-// or the stop flag raised.
+// or the search stopped.
 func (f *frontier) get(w int) (item, bool) {
 	backoff := 0
 	for {
-		if f.stop.Load() {
+		if f.stopped() {
 			return item{}, false
 		}
 		if it, ok := f.popLocal(w); ok {

@@ -42,10 +42,10 @@ func TestPooledBuffersConcurrent(t *testing.T) {
 func BenchmarkParallelPooled(b *testing.B) {
 	cc := core.NewCaches()
 	cfg := scenarios.MustLookup("pyswitch-bench").Config(2)
-	NewWith(cfg, Options{Workers: 2}, cc).Run() // warm discover caches
+	parallel(cfg, 2, cc) // warm discover caches
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := NewWith(scenarios.MustLookup("pyswitch-bench").Config(2), Options{Workers: 2}, cc).Run()
+		r := parallel(scenarios.MustLookup("pyswitch-bench").Config(2), 2, cc)
 		if len(r.Violations) == 0 {
 			b.Fatal("expected the scaled pyswitch violation")
 		}

@@ -1,168 +1,39 @@
-// Package search is the parallel state-space exploration engine: a
-// worker pool that explores the same core.System transition graph as
+// Package search holds the parallel state-space exploration engines:
+// worker pools that explore the same core.System transition graph as
 // the sequential core.Checker, concurrently. The paper's searches run
 // millions of transitions (§7) and lean on hash-based state matching
-// precisely because the explored set dominates (§6); this engine keeps
+// precisely because the explored set dominates (§6); these engines keep
 // those semantics — every state expanded once, properties checked on
 // every transition and at quiescence, the NO-DELAY/UNUSUAL/FLOW-IR
 // reductions honored unchanged (they live inside System.Enabled) — and
-// spreads the expansion over cores:
+// spread the expansion over cores:
 //
 //   - a lock-striped seen-set keyed by System.Fingerprint() (seenset.go),
 //   - per-worker frontiers with work-stealing, where each work item is
-//     a forked System plus the replayable trace prefix that reached it
+//     a forked System plus the core.PathNode prefix that reached it
 //     (frontier.go),
-//   - pluggable strategies: the default BFS/DFS hybrid (owners pop
+//   - two expansion orders: the BFS/DFS hybrid (Parallel: owners pop
 //     depth-first, thieves steal breadth-first) and seeded random-walk
-//     swarms (swarm.go),
-//   - a merged, deterministic Report: violations deduplicated by
-//     property + error and by trace fingerprint, shortest trace wins
-//     (report.go).
+//     swarms (SwarmEngine, swarm.go).
 //
-// Both strategies implement core.Engine (Parallel, SwarmEngine), honor
-// context cancellation and the core.EngineOptions budgets, and stream
-// violations-as-found plus periodic progress to a core.Observer.
+// Counting, budgets, stop reasons, violation selection, progress and
+// telemetry belong to the shared core.Kernel; this package supplies
+// only the expansion orders.
 //
-// Workers=1 delegates to the sequential core.Checker, which stays the
-// reference oracle; search_test.go asserts differential parity between
-// the two on the paper's scenarios.
+// Workers=1 delegates the hybrid to the sequential core.Checker, which
+// stays the reference oracle; search_test.go asserts differential
+// parity between the two on the paper's scenarios.
 package search
 
 import (
 	"context"
-	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/nice-go/nice/internal/core"
 )
 
-// Strategy selects how the worker pool explores.
-type Strategy int
-
-const (
-	// Hybrid is the exhaustive parallel search: per-worker depth-first
-	// expansion over a work-stealing frontier whose steals are
-	// breadth-first. It visits exactly the states the sequential
-	// checker visits whenever state identity is schedule-independent —
-	// symbolic execution off, or discover caches warmed. On cold
-	// SE-enabled runs the counts can differ slightly (cache presence
-	// is part of the state hash and fills in schedule order); the
-	// violated-property set matches regardless.
-	Hybrid Strategy = iota
-	// Swarm runs seeded random walks in parallel (the paper's random
-	// walk mode, §1.3, scaled out). Walk i always uses seed Seed+i, so
-	// the walk set does not depend on the worker count when state
-	// identity is schedule-independent (SE off, or warm caches); cold
-	// SE-enabled walks share discover-cache fills, so trajectories may
-	// shift with scheduling.
-	Swarm
-)
-
-func (s Strategy) String() string {
-	if s == Swarm {
-		return "swarm"
-	}
-	return "parallel"
-}
-
-// Options tunes a parallel search.
-type Options struct {
-	// Workers is the pool size; 0 means runtime.NumCPU(). 1 delegates
-	// the Hybrid strategy to the sequential core.Checker.
-	Workers int
-	// Strategy picks Hybrid (default) or Swarm.
-	Strategy Strategy
-	// Seed is the Swarm base seed (walk i uses Seed+i).
-	Seed int64
-	// Walks is the total number of Swarm walks (0 = 64).
-	Walks int
-	// Steps bounds transitions per Swarm walk (0 = 100).
-	Steps int
-	// Shards is the seen-set stripe count (0 = 256).
-	Shards int
-}
-
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.NumCPU()
-	}
-	return o.Workers
-}
-
-func (o Options) shards() int {
-	if o.Shards <= 0 {
-		return 256
-	}
-	return o.Shards
-}
-
-func (o Options) walks() int {
-	if o.Walks <= 0 {
-		return 64
-	}
-	return o.Walks
-}
-
-func (o Options) steps() int {
-	if o.Steps <= 0 {
-		return 100
-	}
-	return o.Steps
-}
-
-// Engine is one parallel search over a Config.
-type Engine struct {
-	cfg    *core.Config
-	opts   Options
-	caches *core.Caches
-}
-
-// New prepares a parallel search with fresh discover caches.
-func New(cfg *core.Config, opts Options) *Engine {
-	return NewWith(cfg, opts, core.NewCaches())
-}
-
-// NewWith prepares a parallel search against a caller-supplied cache
-// set — shared with a prior run to start warm, or with the sequential
-// checker for differential testing.
-func NewWith(cfg *core.Config, opts Options, cc *core.Caches) *Engine {
-	return &Engine{cfg: cfg, opts: opts, caches: cc}
-}
-
-// Run executes the search and returns the merged report.
-func Run(cfg *core.Config, workers int) *core.Report {
-	return New(cfg, Options{Workers: workers}).Run()
-}
-
-// Run executes the search and returns the merged report.
-func (e *Engine) Run() *core.Report {
-	return e.RunContext(context.Background(), core.EngineOptions{})
-}
-
-// RunContext executes the search with runtime controls: context
-// cancellation, the core.EngineOptions budgets (MaxStates and
-// MaxTransitions; option-level budgets merge with the Config's, smaller
-// nonzero bound wins), and streaming to the options' Observer. Worker
-// and walk sizing come from the engine's own Options; the
-// EngineOptions' Workers/Seed/Walks/Steps fields are ignored here (the
-// core.Engine adapters map them into Options at construction).
-//
-// On abort the merged report is partial but replayable: every recorded
-// trace reproduces deterministically from the initial state.
-func (e *Engine) RunContext(ctx context.Context, eo core.EngineOptions) *core.Report {
-	if e.opts.Strategy == Swarm {
-		return e.runSwarm(ctx, eo)
-	}
-	if e.opts.workers() == 1 {
-		// The delegated report keeps Strategy "dfs": the sequential
-		// checker really ran, and its Progress snapshots say so — the
-		// report and the stream must agree.
-		return core.NewCheckerWith(e.cfg, e.caches).RunContext(ctx, eo)
-	}
-	return e.runHybrid(ctx, eo)
-}
+// shards is the seen-set stripe count.
+const shards = 256
 
 func init() {
 	core.RegisterEngine(core.EngineSpec{
@@ -177,143 +48,26 @@ func init() {
 	})
 }
 
-// Parallel returns the work-stealing Hybrid engine as a core.Engine:
-// worker count from EngineOptions.Workers (0 = all CPUs; 1 delegates to
-// the sequential checker).
+// Parallel returns the work-stealing hybrid engine: per-worker
+// depth-first expansion over a work-stealing frontier whose steals are
+// breadth-first. EngineOptions.Workers sizes the pool (0 = all CPUs;
+// 1 delegates to the sequential checker). It visits exactly the states
+// the sequential checker visits whenever state identity is
+// schedule-independent — symbolic execution off, or discover caches
+// warmed; on cold SE-enabled runs the counts can differ slightly, and
+// the violated-property set matches regardless.
 func Parallel() core.Engine { return parallelEngine{} }
 
 type parallelEngine struct{}
 
 func (parallelEngine) Name() string { return "parallel" }
 
-func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *core.Report {
-	e := NewWith(cfg, Options{Workers: eo.Workers}, eo.CacheSet())
-	return e.RunContext(ctx, eo)
-}
-
-// SwarmEngine returns the parallel seeded-swarm strategy as a
-// core.Engine: EngineOptions' Seed/Walks/Steps size the swarm and
-// Workers sizes the pool.
-func SwarmEngine() core.Engine { return swarmEngine{} }
-
-type swarmEngine struct{}
-
-func (swarmEngine) Name() string { return "swarm" }
-
-func (swarmEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *core.Report {
-	e := NewWith(cfg, Options{
-		Strategy: Swarm, Workers: eo.Workers,
-		Seed: eo.Seed, Walks: eo.Walks, Steps: eo.Steps,
-	}, eo.CacheSet())
-	return e.RunContext(ctx, eo)
-}
-
-// stopControl is the shared stop flag plus the first-wins stop reason.
-type stopControl struct {
-	stop   atomic.Bool
-	reason atomic.Int32 // index into stopReasons
-}
-
-var stopReasons = [...]core.StopReason{
-	core.StopNone, core.StopViolation, core.StopMaxTransitions,
-	core.StopMaxStates, core.StopDeadline, core.StopCanceled,
-}
-
-func reasonIndex(r core.StopReason) int32 {
-	for i, s := range stopReasons {
-		if s == r {
-			return int32(i)
-		}
-	}
-	return 0
-}
-
-// abort raises the stop flag; the first reason recorded wins.
-func (s *stopControl) abort(r core.StopReason) {
-	s.reason.CompareAndSwap(0, reasonIndex(r))
-	s.stop.Store(true)
-}
-
-func (s *stopControl) stopReason() core.StopReason {
-	return stopReasons[s.reason.Load()]
-}
-
-// watchContext aborts the search when ctx is done. The returned func
-// stops the watcher; call it once the workers have drained.
-func watchContext(ctx context.Context, sc *stopControl) func() {
-	if ctx.Done() == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			sc.abort(core.ContextStopReason(ctx))
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
-}
-
-// startProgress streams periodic snapshots to the observer and the
-// telemetry registry from one ticker goroutine. The returned func joins
-// that goroutine and then emits the final snapshot, so the Final=true
-// snapshot is always the last OnProgress call — nothing fires after Run
-// returns (and the registry sync inherits the same single-goroutine
-// discipline the snapshot closure relies on).
-func startProgress(eo core.EngineOptions, tel *core.SearchTelemetry,
-	snap func() core.Progress) func() {
-	if eo.Observer == nil && tel == nil {
-		return func() {}
-	}
-	emit := func(final bool) {
-		p := snap()
-		p.Final = final
-		tel.SyncProgress(p)
-		if eo.Observer != nil {
-			eo.Observer.OnProgress(p)
-		}
-	}
-	done := make(chan struct{})
-	idle := make(chan struct{})
-	go func() {
-		defer close(idle)
-		ticker := time.NewTicker(eo.ProgressInterval())
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				emit(false)
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-idle
-		emit(true)
-	}
-}
-
-// hybridState is the counters and control shared by the Hybrid workers.
-type hybridState struct {
+// hybrid is one parallel hybrid search.
+type hybrid struct {
+	cfg      *core.Config
+	k        *core.Kernel
 	seen     *seenSet
 	frontier *frontier
-	viols    *collector
-
-	transitions atomic.Int64
-	unique      atomic.Int64
-	revisits    atomic.Int64
-	truncated   atomic.Int64
-	maxDepth    atomic.Int64 // deepest pushed trace (observer runs only)
-
-	ctl       stopControl
-	maxTrans  int64 // merged transition budget (0 = unlimited)
-	maxStates int64
-	obs       core.Observer
-	tel       *core.SearchTelemetry
-	heap      core.HeapPeak // sampled only from the snapshot goroutine
 
 	// red is non-nil when the search runs with sleep-set reduction
 	// (EngineOptions.Reduction); dporTel feeds the shared dpor scope.
@@ -321,37 +75,26 @@ type hybridState struct {
 	dporTel *core.DporTelemetry
 }
 
-func (e *Engine) runHybrid(ctx context.Context, eo core.EngineOptions) *core.Report {
-	workers := e.opts.workers()
-	start := time.Now()
-
-	st := &hybridState{
-		seen:      newSeenSet(e.opts.shards()),
-		viols:     newCollector(),
-		maxTrans:  eo.EffectiveMaxTransitions(e.cfg),
-		maxStates: eo.MaxStates,
-		obs:       eo.Observer,
-		tel:       core.NewSearchTelemetry(eo.Telemetry, "parallel"),
+func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *core.Report {
+	workers := eo.WorkerCount()
+	if workers == 1 {
+		// The report keeps Strategy "dfs": the sequential checker
+		// really runs, and its Progress snapshots say so.
+		return core.DFS().Search(ctx, cfg, eo)
 	}
-	st.frontier = newFrontier(workers, &st.ctl.stop)
-	e.caches.AttachTelemetry(eo.Telemetry)
+	h := &hybrid{cfg: cfg, seen: newSeenSet(shards)}
+	h.frontier = newFrontier(workers, func() bool { return h.k.Stopped() })
+	h.k = core.StartKernel(ctx, "parallel", cfg, eo.CacheSet(), eo,
+		core.KernelHooks{Frontier: h.frontier.pending.Load})
 
-	root := core.NewSystemWith(e.cfg, e.caches)
-	root.SetTelemetry(core.NewSystemTelemetry(eo.Telemetry))
+	root := h.k.Root()
 	if eo.Reduction == core.ReductionDPOR {
-		st.red = core.NewSleepReducer(root)
-		st.dporTel = core.NewDporTelemetry(eo.Telemetry)
+		h.red = core.NewSleepReducer(root)
+		h.dporTel = core.NewDporTelemetry(eo.Telemetry)
 	}
-	st.seen.Add(root.Fingerprint())
-	st.unique.Add(1)
-	st.frontier.push(0, item{sys: root})
-
-	unwatch := watchContext(ctx, &st.ctl)
-	snap := func() core.Progress {
-		return e.snapshot(st, start)
-	}
-	st.tel.SearchStart()
-	stopProgress := startProgress(eo, st.tel, snap)
+	h.seen.Add(root.Fingerprint())
+	h.k.AddState(0)
+	h.frontier.push(0, item{sys: root})
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -360,70 +103,25 @@ func (e *Engine) runHybrid(ctx context.Context, eo core.EngineOptions) *core.Rep
 			defer wg.Done()
 			var sc core.SleepScratch
 			for {
-				it, ok := st.frontier.get(w)
+				it, ok := h.frontier.get(w)
 				if !ok {
 					return
 				}
-				e.expand(w, it, st, &sc)
+				h.expand(w, it, &sc)
 				// The item is fully expanded: recycle its System's
 				// struct and slice backings (components live on in
 				// the pushed children that borrowed them).
 				it.sys.Release()
-				st.frontier.done()
+				h.frontier.done()
 			}
 		}(w)
 	}
 	wg.Wait()
-	unwatch()
-	// A cancellation racing the frontier drain still wins over
-	// "complete" (abort keeps any earlier reason: first one recorded
-	// wins), so mid-run cancels always yield a canceled report.
-	if ctx.Err() != nil {
-		st.ctl.abort(core.ContextStopReason(ctx))
+	if tel := h.k.Telemetry(); tel != nil {
+		tel.SyncSteals(h.frontier.steals.Load())
+		tel.SetShardOccupancy(h.seen.occupancy())
 	}
-
-	reason := st.ctl.stopReason()
-	report := &core.Report{
-		Transitions:   st.transitions.Load(),
-		UniqueStates:  st.unique.Load(),
-		Revisits:      st.revisits.Load(),
-		Truncated:     st.truncated.Load(),
-		SERuns:        e.caches.SERuns(),
-		PacketClasses: e.caches.Classes(),
-		Violations:    st.viols.violations(),
-		Elapsed:       time.Since(start),
-		Complete:      !reason.Partial(),
-		Strategy:      "parallel",
-		StopReason:    reason,
-	}
-	stopProgress()
-	if reason.Partial() {
-		st.tel.Budget(reason, report.Transitions)
-	}
-	st.tel.SyncSteals(st.frontier.steals.Load())
-	if st.tel != nil {
-		max, mean := st.seen.occupancy()
-		st.tel.SetShardOccupancy(max, mean)
-	}
-	st.tel.SearchStop(reason, report)
-	return report
-}
-
-func (e *Engine) snapshot(st *hybridState, start time.Time) core.Progress {
-	st.tel.SyncSteals(st.frontier.steals.Load())
-	return core.Progress{
-		Strategy:      "parallel",
-		Elapsed:       time.Since(start),
-		Transitions:   st.transitions.Load(),
-		UniqueStates:  st.unique.Load(),
-		Revisits:      st.revisits.Load(),
-		Truncated:     st.truncated.Load(),
-		SERuns:        e.caches.SERuns(),
-		Frontier:      st.frontier.pending.Load(),
-		Depth:         int(st.maxDepth.Load()),
-		PeakHeapInUse: st.heap.Sample(),
-		CacheHitRate:  e.caches.HitRate(),
-	}.Rated()
+	return h.k.Finish()
 }
 
 // expand processes one frontier item, mirroring the sequential
@@ -434,7 +132,7 @@ func (e *Engine) snapshot(st *hybridState, start time.Time) core.Progress {
 // paper's checker "saves the error and trace and does not explore past
 // a violating state".
 //
-// Under sleep-set reduction (st.red non-nil) the loop additionally
+// Under sleep-set reduction (h.red non-nil) the loop additionally
 // skips transitions the item's sleep set covers, hands each child the
 // sleep set it is owed (incoming entries plus executed siblings,
 // filtered by independence), and routes revisits through the seen-set's
@@ -442,59 +140,50 @@ func (e *Engine) snapshot(st *hybridState, start time.Time) core.Progress {
 // exactly the keys that slipped awake. Sleep sets prune transition
 // executions only, never states, so UniqueStates matches the unreduced
 // search.
-func (e *Engine) expand(w int, it item, st *hybridState, sc *core.SleepScratch) {
-	if st.ctl.stop.Load() {
+func (h *hybrid) expand(w int, it item, sc *core.SleepScratch) {
+	k := h.k
+	if k.Stopped() {
 		return
 	}
 	enabled := it.sys.EnabledInto(getTransBuf())
 	defer putTransBuf(enabled)
 	if len(enabled) == 0 {
 		for _, f := range it.sys.CheckQuiescence() {
-			e.record(core.Violation{Property: f.Property, Err: f.Err,
-				Trace: it.path.Trace(), Quiescence: true}, st)
+			k.Record(f, it.path, nil, true)
 		}
 		return
 	}
 	depth := it.path.Depth()
-	if depth >= e.cfg.DepthBound() {
-		st.truncated.Add(1)
+	if depth >= h.cfg.DepthBound() {
+		k.Truncate()
 		return
 	}
 
 	var executed []int
-	if st.red != nil {
-		st.red.Prepare(it.sys, enabled, sc)
+	if h.red != nil {
+		h.red.Prepare(it.sys, enabled, sc)
 	}
 
 	// The per-transition event batch lives only until the property
-	// checks below, so one pooled buffer serves the whole expansion —
-	// the hot-loop allocation COW forking exposes as the next
-	// bottleneck.
+	// checks below, so one pooled buffer serves the whole expansion.
 	events := getEventBuf()
 	// Deferred via closure: ApplyInto may grow the buffer, and the
 	// grown backing is the one worth pooling.
 	defer func() { putEventBuf(events) }()
 
 	for i, t := range enabled {
-		if st.ctl.stop.Load() {
-			return
-		}
-		if st.red != nil {
+		if h.red != nil {
 			if it.wake != nil && !keyIn64(it.wake, sc.Key(i)) {
 				// Covered by this state's previous, larger expansion.
-				st.dporTel.Pruned(1)
+				h.dporTel.Pruned(1)
 				continue
 			}
 			if sc.Asleep(it.sleep, i) {
-				st.dporTel.SleepHit()
+				h.dporTel.SleepHit()
 				continue
 			}
 		}
-		// Reserve the budget slot before applying, so the bound is
-		// exact even when workers race on the last transitions.
-		if n := st.transitions.Add(1); st.maxTrans > 0 && n > st.maxTrans {
-			st.transitions.Add(-1)
-			st.ctl.abort(core.StopMaxTransitions)
+		if !k.ReserveTransition() {
 			return
 		}
 		child := it.sys.Clone()
@@ -502,12 +191,11 @@ func (e *Engine) expand(w int, it item, st *hybridState, sc *core.SleepScratch) 
 
 		violated := false
 		for _, f := range child.CheckEvents(events) {
-			e.record(core.Violation{Property: f.Property, Err: f.Err,
-				Trace: it.path.traceWith(t)}, st)
+			k.Record(f, it.path, []core.Transition{t}, false)
 			violated = true
 		}
 		var childSleep []core.SleepEntry
-		if st.red != nil {
+		if h.red != nil {
 			if !violated {
 				childSleep = sc.ChildSleep(it.sleep, executed, i)
 			}
@@ -519,65 +207,25 @@ func (e *Engine) expand(w int, it item, st *hybridState, sc *core.SleepScratch) 
 			child.Release()
 			continue
 		}
-		if st.red != nil {
-			isNew, wake := st.seen.AddSleep(child.Fingerprint(), core.SleepKeySet(childSleep))
-			switch {
-			case isNew:
-				if n := st.unique.Add(1); st.maxStates > 0 && n >= st.maxStates {
-					st.ctl.abort(core.StopMaxStates)
-				}
-				st.tel.ObserveDepth(depth + 1)
-				if st.obs != nil || st.tel != nil {
-					maxInt64(&st.maxDepth, int64(depth+1))
-				}
-				st.frontier.push(w, item{sys: child, sleep: childSleep,
-					path: &pathNode{t: t, parent: it.path, depth: depth + 1}})
-			case wake != nil:
-				st.revisits.Add(1)
-				st.dporTel.Reexpansion()
-				st.frontier.push(w, item{sys: child, sleep: childSleep, wake: wake,
-					path: &pathNode{t: t, parent: it.path, depth: depth + 1}})
-			default:
-				st.revisits.Add(1)
-				child.Release()
-			}
-			continue
-		}
-		if st.seen.Add(child.Fingerprint()) {
-			if n := st.unique.Add(1); st.maxStates > 0 && n >= st.maxStates {
-				st.ctl.abort(core.StopMaxStates)
-			}
-			st.tel.ObserveDepth(depth + 1)
-			if st.obs != nil || st.tel != nil {
-				maxInt64(&st.maxDepth, int64(depth+1))
-			}
-			st.frontier.push(w, item{sys: child,
-				path: &pathNode{t: t, parent: it.path, depth: depth + 1}})
+
+		var isNew bool
+		var wake []uint64
+		if h.red != nil {
+			isNew, wake = h.seen.AddSleep(child.Fingerprint(), core.SleepKeySet(childSleep))
 		} else {
-			st.revisits.Add(1)
+			isNew = h.seen.Add(child.Fingerprint())
+		}
+		switch {
+		case isNew:
+			k.AddState(depth + 1)
+			h.frontier.push(w, item{sys: child, sleep: childSleep, path: it.path.Child(t)})
+		case wake != nil:
+			k.Revisit()
+			h.dporTel.Reexpansion()
+			h.frontier.push(w, item{sys: child, sleep: childSleep, wake: wake, path: it.path.Child(t)})
+		default:
+			k.Revisit()
 			child.Release()
 		}
-	}
-}
-
-// maxInt64 lifts v into the atomic maximum.
-func maxInt64(m *atomic.Int64, v int64) {
-	for {
-		cur := m.Load()
-		if v <= cur || m.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-func (e *Engine) record(v core.Violation, st *hybridState) {
-	if st.viols.add(v) {
-		st.tel.Violation(v.Property)
-		if st.obs != nil {
-			st.obs.OnViolation(v)
-		}
-	}
-	if e.cfg.StopAtFirstViolation {
-		st.ctl.abort(core.StopViolation)
 	}
 }

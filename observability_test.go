@@ -1,5 +1,5 @@
 // Tests for the observability surface: Observer delivery ordering under
-// the parallel engine, the telemetry registry's integration with every
+// every engine, the telemetry registry's integration with every
 // engine, campaign-level aggregation, and discover-cache pruning.
 package nice_test
 
@@ -41,53 +41,82 @@ func (o *orderingObserver) OnProgress(p nice.Progress) {
 	o.mu.Unlock()
 }
 
-// TestObserverOrderingParallel: under the parallel engine (run with
-// -race in CI), the Final=true snapshot is delivered exactly once, after
-// every violation and every periodic snapshot, and carries the closing
-// report totals — nothing fires after Run returns.
-func TestObserverOrderingParallel(t *testing.T) {
-	build := func() *nice.Config {
-		cfg := scenarios.MustLookup("pyswitch-bench").Config(3)
-		return cfg // full search: violations stream while workers race
-	}
-	obs := &orderingObserver{}
-	report := nice.Run(context.Background(), build(),
-		nice.WithWorkers(4),
-		nice.WithObserver(obs),
-		nice.WithProgressEvery(time.Millisecond))
+// allEngines selects each of the five registered engines through Run.
+var allEngines = map[string][]nice.RunOption{
+	"dfs":      nil,
+	"parallel": {nice.WithWorkers(4)},
+	"walks":    {nice.WithWalks(7, 200, 100)},
+	"swarm":    {nice.WithWalks(7, 200, 100), nice.WithWorkers(4)},
+	"concolic": {nice.WithSymWorkers(2), nice.WithWorkers(2)},
+}
 
-	obs.mu.Lock()
-	defer obs.mu.Unlock()
-	if len(obs.events) == 0 {
-		t.Fatal("no observer callbacks at all")
-	}
-	var finals int
-	for i, ev := range obs.events {
-		if ev == "final" {
-			finals++
-			if i != len(obs.events)-1 {
-				t.Errorf("final snapshot was event %d of %d — callbacks fired after it",
-					i+1, len(obs.events))
-			}
+// requireSortedViolations fails unless r.Violations is sorted by
+// (property, error) with no repeated key.
+func requireSortedViolations(t *testing.T, r *nice.Report) {
+	t.Helper()
+	for i := 1; i < len(r.Violations); i++ {
+		a, b := r.Violations[i-1], r.Violations[i]
+		if a.Property > b.Property || a.Property == b.Property && a.Err.Error() >= b.Err.Error() {
+			t.Errorf("violations %d and %d out of order: %s|%v, %s|%v",
+				i-1, i, a.Property, a.Err, b.Property, b.Err)
 		}
 	}
-	if finals != 1 {
-		t.Fatalf("%d final snapshots, want exactly 1", finals)
-	}
-	if len(obs.violations) < len(report.Violations) {
-		t.Errorf("streamed %d violations, report has %d",
-			len(obs.violations), len(report.Violations))
-	}
-	last := obs.progress[len(obs.progress)-1]
-	if !last.Final {
-		t.Error("last recorded progress snapshot is not the final one")
-	}
-	if last.Transitions != report.Transitions || last.UniqueStates != report.UniqueStates {
-		t.Errorf("final snapshot %d/%d != report %d/%d",
-			last.Transitions, last.UniqueStates, report.Transitions, report.UniqueStates)
-	}
-	if last.PeakHeapInUse == 0 {
-		t.Error("final snapshot carries no PeakHeapInUse sample")
+}
+
+// TestObserverOrdering: under every engine (run with -race in CI) the
+// Final=true snapshot is delivered exactly once, after every violation
+// and every periodic snapshot, and carries the closing report totals
+// and a heap sample — nothing fires after Run returns. Each report
+// lists its violations sorted.
+func TestObserverOrdering(t *testing.T) {
+	for engine, eopts := range allEngines {
+		t.Run(engine, func(t *testing.T) {
+			obs := &orderingObserver{}
+			opts := append([]nice.RunOption{
+				nice.WithObserver(obs),
+				nice.WithProgressEvery(time.Millisecond),
+			}, eopts...)
+			// A full search: violations stream while workers race.
+			report := nice.Run(context.Background(),
+				scenarios.MustLookup("pyswitch-bench").Config(3), opts...)
+			if report.Strategy != engine {
+				t.Fatalf("ran %q, want %q", report.Strategy, engine)
+			}
+			requireSortedViolations(t, report)
+
+			obs.mu.Lock()
+			defer obs.mu.Unlock()
+			var finals int
+			for i, ev := range obs.events {
+				if ev == "final" {
+					finals++
+					if i != len(obs.events)-1 {
+						t.Errorf("final snapshot was event %d of %d — callbacks fired after it",
+							i+1, len(obs.events))
+					}
+				}
+			}
+			if finals != 1 {
+				t.Fatalf("%d final snapshots, want exactly 1", finals)
+			}
+			if len(obs.violations) != len(report.Violations) {
+				t.Errorf("streamed %d violations, report has %d",
+					len(obs.violations), len(report.Violations))
+			}
+			last := obs.progress[len(obs.progress)-1]
+			if !last.Final || last.Strategy != engine {
+				t.Errorf("last snapshot Final=%v Strategy=%q", last.Final, last.Strategy)
+			}
+			if last.Transitions != report.Transitions || last.UniqueStates != report.UniqueStates ||
+				last.Revisits != report.Revisits || last.Truncated != report.Truncated {
+				t.Errorf("final snapshot %d/%d/%d/%d != report %d/%d/%d/%d",
+					last.Transitions, last.UniqueStates, last.Revisits, last.Truncated,
+					report.Transitions, report.UniqueStates, report.Revisits, report.Truncated)
+			}
+			if last.PeakHeapInUse == 0 {
+				t.Error("final snapshot carries no PeakHeapInUse sample")
+			}
+		})
 	}
 }
 

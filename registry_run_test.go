@@ -73,7 +73,8 @@ func TestRunRegistryMatrixParity(t *testing.T) {
 						violatedSet(runSeq), violatedSet(legacySeq))
 				}
 
-				legacyPar := search.NewWith(build(), search.Options{Workers: 4}, cc).Run()
+				legacyPar := search.Parallel().Search(ctx, build(),
+					core.EngineOptions{Workers: 4, Caches: cc})
 				runPar := nice.Run(ctx, build(), nice.WithWorkers(4), nice.WithCaches(cc))
 				if runPar.UniqueStates != legacyPar.UniqueStates ||
 					runPar.Transitions != legacyPar.Transitions {
@@ -124,9 +125,9 @@ func TestRunSwarmWarmParity(t *testing.T) {
 			cc := nice.NewCaches()
 			core.NewCheckerWith(build(), cc).Run() // warm the discover caches
 
-			legacy := search.NewWith(build(), search.Options{
-				Strategy: search.Swarm, Workers: 2, Seed: 11, Walks: 30, Steps: 60,
-			}, cc).Run()
+			legacy := search.SwarmEngine().Search(ctx, build(), core.EngineOptions{
+				Workers: 2, Seed: 11, Walks: 30, Steps: 60, Caches: cc,
+			})
 			got := nice.Run(ctx, build(),
 				nice.WithWalks(11, 30, 60), nice.WithWorkers(2), nice.WithCaches(cc))
 			if got.Strategy != "swarm" {

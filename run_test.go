@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/nice-go/nice"
+	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/scenarios"
 )
 
@@ -184,23 +185,24 @@ func TestRunDeadline(t *testing.T) {
 	}
 }
 
-// TestRunWalkEngines: WithWalks selects the legacy random-walk engine
-// and reproduces RandomWalk exactly; adding WithWorkers selects the
-// swarm and reproduces the swarm's worker-invariant walk set.
+// TestRunWalkEngines: WithWalks selects the sequential random-walk
+// engine and reproduces a direct RandomWalks search exactly; adding
+// WithWorkers selects the swarm and reproduces the swarm's
+// worker-invariant walk set.
 func TestRunWalkEngines(t *testing.T) {
 	build := func() *nice.Config { return scenarios.MustLookup("bug-iv").Config(0) }
 
-	//lint:ignore SA1019 parity with the deprecated entry point is the point
-	legacy := nice.RandomWalk(build(), 7, 40, 60)
+	direct := nice.RandomWalks().Search(context.Background(), build(),
+		core.EngineOptions{Seed: 7, Walks: 40, Steps: 60})
 	got := nice.Run(context.Background(), build(), nice.WithWalks(7, 40, 60))
 	if got.Strategy != "walks" {
 		t.Errorf("walk engine = %q, want walks", got.Strategy)
 	}
-	if got.Transitions != legacy.Transitions || got.UniqueStates != legacy.UniqueStates ||
-		len(got.Violations) != len(legacy.Violations) {
-		t.Errorf("Run walks trans/states/viols %d/%d/%d != RandomWalk %d/%d/%d",
-			got.Transitions, got.UniqueStates, len(got.Violations),
-			legacy.Transitions, legacy.UniqueStates, len(legacy.Violations))
+	if got.Transitions != direct.Transitions || got.UniqueStates != direct.UniqueStates ||
+		violationProps(got) != violationProps(direct) {
+		t.Errorf("Run walks trans/states/viols %d/%d/%q != RandomWalks %d/%d/%q",
+			got.Transitions, got.UniqueStates, violationProps(got),
+			direct.Transitions, direct.UniqueStates, violationProps(direct))
 	}
 
 	swarm := nice.Run(context.Background(), build(),
@@ -261,16 +263,10 @@ func TestObserverStreaming(t *testing.T) {
 		nonFinal := len(obs.progress) - finals
 		obs.mu.Unlock()
 
-		// The parallel collector may stream a (property, error) key and
-		// later drop it at merge time in favor of a same-trace twin, so
-		// streamed >= reported; sequential streams exactly the report.
-		if streamed < len(report.Violations) {
+		// Every engine streams each reported key exactly once.
+		if streamed != len(report.Violations) {
 			t.Errorf("%s: streamed %d violations, report has %d",
 				name, streamed, len(report.Violations))
-		}
-		if name == "sequential" && streamed != len(report.Violations) {
-			t.Errorf("sequential: streamed %d violations, report has %d",
-				streamed, len(report.Violations))
 		}
 		if finals != 1 {
 			t.Errorf("%s: %d final snapshots, want exactly 1", name, finals)
@@ -285,35 +281,37 @@ func TestObserverStreaming(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersParity: the deprecated Check / CheckParallel
-// wrappers stay exact synonyms of their Run spellings — this is their
-// only remaining in-repo exerciser; every other caller migrated to Run.
-func TestDeprecatedWrappersParity(t *testing.T) {
-	//lint:ignore SA1019 parity with the deprecated entry point is the point
-	legacy := nice.Check(fullBugII())
-	got := nice.Run(context.Background(), fullBugII())
-	if got.UniqueStates != legacy.UniqueStates || got.Transitions != legacy.Transitions ||
-		len(got.Violations) != len(legacy.Violations) {
-		t.Errorf("Run %d/%d/%d != Check %d/%d/%d",
-			got.UniqueStates, got.Transitions, len(got.Violations),
-			legacy.UniqueStates, legacy.Transitions, len(legacy.Violations))
+// TestRunMatchesChecker: Run's default engine is exactly the
+// sequential checker, WithWorkers(1) delegates to it, and the parallel
+// engine finds the same violated properties.
+func TestRunMatchesChecker(t *testing.T) {
+	ref := core.NewChecker(fullBugII()).Run()
+	for name, opts := range map[string][]nice.RunOption{
+		"default":   nil,
+		"workers=1": {nice.WithWorkers(1)},
+	} {
+		got := nice.Run(context.Background(), fullBugII(), opts...)
+		if got.UniqueStates != ref.UniqueStates || got.Transitions != ref.Transitions ||
+			violationKeys(got) != violationKeys(ref) {
+			t.Errorf("Run(%s) %d/%d/%q != Checker %d/%d/%q", name,
+				got.UniqueStates, got.Transitions, violationKeys(got),
+				ref.UniqueStates, ref.Transitions, violationKeys(ref))
+		}
 	}
+	par4 := nice.Run(context.Background(), fullBugII(), nice.WithWorkers(4))
+	if violationProps(par4) != violationProps(ref) {
+		t.Errorf("Run(WithWorkers(4)) violations %q != Checker %q",
+			violationProps(par4), violationProps(ref))
+	}
+}
 
-	// Workers=1 delegates to the sequential checker, so the parallel
-	// wrapper must match exactly too.
-	//lint:ignore SA1019 parity with the deprecated entry point is the point
-	par := nice.CheckParallel(fullBugII(), 1)
-	if par.UniqueStates != legacy.UniqueStates || par.Transitions != legacy.Transitions {
-		t.Errorf("CheckParallel(1) %d/%d != Check %d/%d",
-			par.UniqueStates, par.Transitions, legacy.UniqueStates, legacy.Transitions)
+// violationKeys renders a report's property|error keys in report order.
+func violationKeys(r *nice.Report) string {
+	keys := make([]string, 0, len(r.Violations))
+	for _, v := range r.Violations {
+		keys = append(keys, v.Property+"|"+v.Err.Error())
 	}
-	//lint:ignore SA1019 parity with the deprecated entry point is the point
-	par4 := nice.CheckParallel(fullBugII(), 4)
-	runPar4 := nice.Run(context.Background(), fullBugII(), nice.WithWorkers(4))
-	if violationProps(par4) != violationProps(runPar4) {
-		t.Errorf("CheckParallel(4) violations %q != Run(WithWorkers(4)) %q",
-			violationProps(par4), violationProps(runPar4))
-	}
+	return strings.Join(keys, ",")
 }
 
 // violationProps renders the sorted violated-property set.

@@ -1,6 +1,7 @@
 package scenarios_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -91,7 +92,8 @@ func TestFingerprintOracleParity(t *testing.T) {
 
 				// Warm, parallel: the work-stealing engine on incremental
 				// fingerprints against the sequential oracle.
-				par := search.NewWith(mk(), search.Options{Workers: 4}, cc).Run()
+				par := search.Parallel().Search(context.Background(), mk(),
+					core.EngineOptions{Workers: 4, Caches: cc})
 				if par.UniqueStates != orcW.UniqueStates || par.Transitions != orcW.Transitions {
 					t.Errorf("parallel incremental states/trans %d/%d != sequential oracle %d/%d",
 						par.UniqueStates, par.Transitions, orcW.UniqueStates, orcW.Transitions)
